@@ -113,6 +113,9 @@ pub struct Machine {
     /// machines keep this `None` — the driver samples them at epoch
     /// barriers instead.
     host: Option<Box<HostState>>,
+    /// Completions of the memory event being handled. Kept across events
+    /// (and across PDES epochs), so neither loop allocates per event.
+    completions: Vec<Completion>,
 }
 
 impl Machine {
@@ -157,8 +160,7 @@ impl Machine {
         let nodes = cfg.nodes;
         let epochs = vec![0; streams.len()];
         // Every stream keeps a handful of events in flight (a resume plus a
-        // few memory-system events); reserve up front so the steady-state
-        // loop never grows the heap.
+        // few memory-system events).
         let q = EventQueue::with_capacity(streams.len() * 8 + 64);
         Machine {
             cfg,
@@ -185,6 +187,7 @@ impl Machine {
             inbox_cursor: 0,
             pdes_sink: None,
             host: None,
+            completions: Vec::new(),
         }
     }
 
@@ -251,7 +254,6 @@ impl Machine {
                 self.q.push(Cycle::ZERO, Ev::Resume { stream: i, epoch: 0 });
             }
         }
-        let mut out: Vec<Completion> = Vec::new();
         while let Some((t, ev)) = self.q.pop() {
             self.host_events += 1;
             if self.host.is_some() && self.host_events.is_multiple_of(QUEUE_SAMPLE_PERIOD) {
@@ -268,21 +270,7 @@ impl Machine {
                         self.run_stream(stream, t, true);
                     }
                 }
-                Ev::Mem(me) => {
-                    out.clear();
-                    self.mem.handle_event(t, me, &mut QW(&mut self.q), &mut out);
-                    // `out` is local; completions are Copy, so the buffer
-                    // is reused across events without reallocating.
-                    let batch = std::mem::take(&mut out);
-                    for (k, &c) in batch.iter().enumerate() {
-                        // Inline continuation is only safe for the last
-                        // completion of the batch: an earlier stream must
-                        // not run ahead of state changes the remaining
-                        // completions are about to apply.
-                        self.on_completion(t, c, k + 1 == batch.len());
-                    }
-                    out = batch;
-                }
+                Ev::Mem(me) => self.handle_mem(t, me),
             }
         }
         // Everyone must have finished; anything else is a deadlock.
@@ -352,6 +340,23 @@ impl Machine {
             host_events,
         };
         (result, trace, host_queue)
+    }
+
+    /// Hands a memory event to the memory system and applies the
+    /// completions it produced, in order.
+    fn handle_mem(&mut self, t: Cycle, me: MemEvent) {
+        // The buffer is taken out for the batch (completions are `Copy`)
+        // and put back afterwards, so its allocation is reused.
+        let mut batch = std::mem::take(&mut self.completions);
+        batch.clear();
+        self.mem.handle_event(t, me, &mut QW(&mut self.q), &mut batch);
+        for (k, &c) in batch.iter().enumerate() {
+            // Inline continuation is only safe for the last completion of
+            // the batch: an earlier stream must not run ahead of state
+            // changes the remaining completions are about to apply.
+            self.on_completion(t, c, k + 1 == batch.len());
+        }
+        self.completions = batch;
     }
 
     fn stream_reports(&self) -> Vec<StreamReport> {
@@ -470,7 +475,6 @@ impl Machine {
     ) {
         self.run_bound = bound;
         let own = self.streams[0].cpu.node();
-        let mut out: Vec<Completion> = Vec::new();
         loop {
             let qt = self.q.peek_time();
             let take_inbox = match qt {
@@ -511,15 +515,7 @@ impl Machine {
                     *send_seq += 1;
                     outbox.push(WireMsg { at, src: own.0, seq: *send_seq, msg });
                 }
-                Ev::Mem(me) => {
-                    out.clear();
-                    self.mem.handle_event(t, me, &mut QW(&mut self.q), &mut out);
-                    let batch = std::mem::take(&mut out);
-                    for (k, &c) in batch.iter().enumerate() {
-                        self.on_completion(t, c, k + 1 == batch.len());
-                    }
-                    out = batch;
-                }
+                Ev::Mem(me) => self.handle_mem(t, me),
             }
         }
     }

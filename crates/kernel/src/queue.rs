@@ -1,6 +1,6 @@
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -13,6 +13,10 @@ use crate::Cycle;
 /// penalties, drained SI queues) falls back to the heap.
 const LANE: usize = 512;
 const LANE_MASK: u64 = LANE as u64 - 1;
+/// Words in the lane's bucket-occupancy bitmap.
+const WORDS: usize = LANE / 64;
+/// End-of-list link in the slab.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic discrete-event queue.
 ///
@@ -25,9 +29,13 @@ const LANE_MASK: u64 = LANE as u64 - 1;
 ///
 /// * a **near-future lane** — a ring of [`LANE`] single-cycle buckets
 ///   covering `[cursor, cursor + LANE)`, where `cursor` is a monotone lower
-///   bound on pending bucketed times. Pushes within the window are O(1)
-///   appends; pops advance `cursor` to the first non-empty bucket, so scan
-///   work amortizes to the simulated-time advance;
+///   bound on pending bucketed times. All buckets share one slab of slots:
+///   each bucket is a FIFO list linked through the slab, and freed slots go
+///   on a LIFO free list, so a push reuses the slot the last pop released.
+///   A 512-bit occupancy bitmap lets pops jump `cursor` to the next
+///   non-empty bucket with `trailing_zeros` instead of walking empty ones.
+///   The slab holds at most as many slots as events were ever pending in
+///   the lane at once;
 /// * a `u128`-keyed [`BinaryHeap`] for the far tail (and for times below
 ///   `cursor`, which can only arise from out-of-order test usage).
 ///
@@ -50,10 +58,16 @@ const LANE_MASK: u64 = LANE as u64 - 1;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-future lane; bucket `t & LANE_MASK` holds events at time `t`
-    /// for `t` in `[cursor, cursor + LANE)`. Within a bucket, entries are
-    /// appended (and consumed) in sequence order.
-    lane: Vec<Bucket<E>>,
+    /// Slots of the near-future lane: linked bucket entries plus freed
+    /// slots awaiting reuse.
+    slots: Vec<Slot<E>>,
+    /// Head of the LIFO free list, threaded through `Slot::next`.
+    free: u32,
+    /// Bucket `t & LANE_MASK` lists the events at time `t` for `t` in
+    /// `[cursor, cursor + LANE)`, in sequence order.
+    buckets: Box<[Bucket; LANE]>,
+    /// Bit `b` is set iff bucket `b` is non-empty.
+    occupied: [u64; WORDS],
     /// Events currently in the lane (all buckets).
     lane_len: usize,
     /// Lower bound on every bucketed event's time; advanced by pops.
@@ -67,11 +81,22 @@ pub struct EventQueue<E> {
     heap_pushes: u64,
 }
 
-/// One bucket of the near-future lane: `(seq, event)` entries in push
-/// order. A `VecDeque` gives O(1) FIFO drain without shifting, and its
-/// backing allocation persists across drain/refill cycles, so the
-/// steady-state loop never allocates.
-type Bucket<E> = VecDeque<(u64, E)>;
+/// One slab slot. A linked slot holds its event; a free one holds `None`
+/// and links to the next free slot.
+#[derive(Debug)]
+struct Slot<E> {
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// First and last slab slot of one bucket's FIFO list; `head == NIL` when
+/// the bucket is empty (`tail` is then stale).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
 
 /// `key` packs `(time << 64) | seq`: one `u128` comparison orders by time,
 /// then insertion order.
@@ -117,7 +142,10 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            lane: (0..LANE).map(|_| Bucket::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            buckets: Box::new([Bucket { head: NIL, tail: NIL }; LANE]),
+            occupied: [0; WORDS],
             lane_len: 0,
             cursor: 0,
             heap: BinaryHeap::new(),
@@ -127,16 +155,17 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for `cap` pending far-tail events.
+    /// Creates an empty queue with room for `cap` pending near-future
+    /// events.
     pub fn with_capacity(cap: usize) -> EventQueue<E> {
         let mut q = EventQueue::new();
-        q.heap.reserve(cap);
+        q.slots.reserve(cap);
         q
     }
 
-    /// Reserves room for at least `additional` more far-tail events.
+    /// Reserves room for at least `additional` more near-future events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.slots.reserve(additional);
     }
 
     /// Schedules `event` to fire at time `at`.
@@ -145,8 +174,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let t = at.raw();
         if t >= self.cursor && t - self.cursor < LANE as u64 {
-            self.lane[(t & LANE_MASK) as usize].push_back((seq, event));
-            self.lane_len += 1;
+            self.lane_push((t & LANE_MASK) as usize, seq, event);
         } else {
             self.heap_pushes += 1;
             self.heap.push(Entry { key: pack(at, seq), event });
@@ -160,16 +188,63 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Appends an event to bucket `b`, reusing the most recently freed
+    /// slot when there is one.
+    #[inline]
+    fn lane_push(&mut self, b: usize, seq: u64, event: E) {
+        let slot = Slot { seq, next: NIL, event: Some(event) };
+        let i = if self.free != NIL {
+            let i = self.free;
+            let s = &mut self.slots[i as usize];
+            self.free = s.next;
+            *s = slot;
+            i
+        } else {
+            let i = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("near-future lane exceeds u32 slots");
+            self.slots.push(slot);
+            i
+        };
+        let bucket = &mut self.buckets[b];
+        if bucket.head == NIL {
+            bucket.head = i;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            self.slots[bucket.tail as usize].next = i;
+        }
+        bucket.tail = i;
+        self.lane_len += 1;
+    }
+
     /// Advances `cursor` to the first non-empty bucket. Only called with a
-    /// non-empty lane, so the walk terminates within `LANE` steps; because
-    /// `cursor` is monotone, the total walk over a run is bounded by the
-    /// simulated-time span, not by the pop count.
+    /// non-empty lane. Every bucketed time lies in `[cursor, cursor +
+    /// LANE)`, so the first occupied bit at or after the cursor's bucket,
+    /// in ring order, is the earliest bucketed time; finding it reads at
+    /// most `WORDS + 1` bitmap words.
     #[inline]
     fn advance_cursor(&mut self) {
         debug_assert!(self.lane_len > 0);
-        while self.lane[(self.cursor & LANE_MASK) as usize].is_empty() {
-            self.cursor += 1;
+        let p = (self.cursor & LANE_MASK) as usize;
+        let (w0, bit) = (p / 64, p % 64);
+        let here = self.occupied[w0] >> bit;
+        if here != 0 {
+            self.cursor += u64::from(here.trailing_zeros());
+            return;
         }
+        // The following words in ring order; the last step comes back to
+        // `w0`, whose bits below `bit` are the ring's farthest buckets.
+        let mut dist = (64 - bit) as u64;
+        for k in 1..=WORDS {
+            let w = self.occupied[(w0 + k) % WORDS];
+            if w != 0 {
+                self.cursor += dist + u64::from(w.trailing_zeros());
+                return;
+            }
+            dist += 64;
+        }
+        unreachable!("advance_cursor on an empty lane");
     }
 
     /// The packed key of the earliest bucketed event, advancing the cursor
@@ -180,19 +255,27 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.advance_cursor();
-        let b = &self.lane[(self.cursor & LANE_MASK) as usize];
-        Some(pack(Cycle(self.cursor), b.front().expect("advanced to non-empty bucket").0))
+        let head = self.buckets[(self.cursor & LANE_MASK) as usize].head;
+        Some(pack(Cycle(self.cursor), self.slots[head as usize].seq))
     }
 
-    /// Removes and returns the front event of the cursor bucket. Caller
-    /// guarantees the lane is non-empty and the cursor is advanced.
+    /// Removes and returns the front event of the cursor bucket, putting
+    /// its slot on the free list. Caller guarantees the lane is non-empty
+    /// and the cursor is advanced.
     #[inline]
     fn lane_pop_front(&mut self) -> (Cycle, E) {
-        let t = Cycle(self.cursor);
-        let b = &mut self.lane[(self.cursor & LANE_MASK) as usize];
-        let (_seq, event) = b.pop_front().expect("advanced to non-empty bucket");
+        let b = (self.cursor & LANE_MASK) as usize;
+        let i = self.buckets[b].head;
+        let slot = &mut self.slots[i as usize];
+        let event = slot.event.take().expect("advanced to non-empty bucket");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = i;
+        self.buckets[b].head = next;
+        if next == NIL {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
         self.lane_len -= 1;
-        (t, event)
+        (Cycle(self.cursor), event)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -282,7 +365,7 @@ impl<E> EventQueue<E> {
         self.high_water
     }
 
-    /// Events currently pending in the near-future bucket ring.
+    /// Events currently pending in the near-future lane.
     pub fn lane_len(&self) -> usize {
         self.lane_len
     }
@@ -306,6 +389,8 @@ impl<E> Default for EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::SplitMix64;
 
@@ -576,6 +661,137 @@ mod tests {
                     last = Some((t, i));
                 }
             }
+        }
+    }
+
+    /// Pops to empty, checking every event against a reference model.
+    fn drain_against(q: &mut EventQueue<usize>, model: &mut BTreeSet<(u64, usize)>) {
+        while let Some((t, i)) = q.pop() {
+            assert_eq!(model.pop_first(), Some((t.raw(), i)));
+        }
+        assert!(model.is_empty());
+    }
+
+    /// A pop frees its slot and the next push takes that same slot, so an
+    /// alternating push/pop stream never grows the slab past one slot.
+    #[test]
+    fn free_list_reuses_the_last_freed_slot() {
+        let mut q = EventQueue::new();
+        for t in 0..1_000u64 {
+            q.push(Cycle(t), t);
+            assert_eq!(q.pop(), Some((Cycle(t), t)));
+        }
+        assert_eq!(q.slots.len(), 1);
+        // LIFO: the slot freed last is the first one reused.
+        q.push(Cycle(1_000), 0);
+        q.push(Cycle(1_001), 1);
+        q.push(Cycle(1_002), 2);
+        assert_eq!(q.slots.len(), 3);
+        let second = q.buckets[1_001 & LANE_MASK as usize].head;
+        q.pop();
+        q.pop();
+        assert_eq!(q.free, second);
+        q.push(Cycle(1_003), 3);
+        assert_eq!(q.buckets[1_003 & LANE_MASK as usize].head, second);
+        assert_eq!(q.slots.len(), 3);
+        assert_eq!(q.pop(), Some((Cycle(1_002), 2)));
+        assert_eq!(q.pop(), Some((Cycle(1_003), 3)));
+    }
+
+    /// A steady push/pop workload never holds more slab slots than events
+    /// were ever pending at once.
+    #[test]
+    fn steady_workload_keeps_the_slab_within_high_water() {
+        let mut rng = SplitMix64::new(0x51ab);
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for i in 0..20_000usize {
+            q.push(Cycle(now + 1 + rng.next_below(300)), i);
+            if q.len() > 64 {
+                now = q.pop().expect("non-empty").0.raw();
+            }
+            assert!(q.slots.len() <= q.high_water());
+        }
+        assert!(q.high_water() <= 65);
+        while q.pop().is_some() {}
+        assert!(q.slots.len() <= q.high_water());
+    }
+
+    /// The bitmap search crosses bitmap words, wraps from the ring's last
+    /// word to its first, and comes back around to the cursor's own word
+    /// for a bucket just behind the cursor.
+    #[test]
+    fn cursor_jumps_across_words_and_the_ring() {
+        let mut q = EventQueue::new();
+        // Gap of more than 64 buckets: word 0 to word 4.
+        q.push(Cycle(3), 'a');
+        q.push(Cycle(300), 'b');
+        assert_eq!(q.pop(), Some((Cycle(3), 'a')));
+        assert_eq!(q.pop(), Some((Cycle(300), 'b')));
+        // Cursor in the ring's last word; the next event wraps to bucket 8.
+        q.push(Cycle(500), 'c');
+        q.push(Cycle(520), 'd');
+        assert_eq!(q.pop(), Some((Cycle(500), 'c')));
+        assert_eq!(q.peek_time(), Some(Cycle(520)));
+        assert_eq!(q.pop(), Some((Cycle(520), 'd')));
+        // The farthest in-window bucket sits one below the cursor's bucket,
+        // in the cursor's own bitmap word: the search must go round the
+        // whole ring.
+        q.push(Cycle(612), 'e');
+        assert_eq!(q.pop(), Some((Cycle(612), 'e'))); // cursor: bucket 100, word 1
+        q.push(Cycle(612 + 511), 'f'); // bucket 99, also word 1
+        assert_eq!(q.lane_len(), 1);
+        assert_eq!(q.pop_if_at(Cycle(612 + 510)), None);
+        assert_eq!(q.pop(), Some((Cycle(612 + 511), 'f')));
+        // Gap of more than 512 buckets: heap lane, then the lane again.
+        q.push(Cycle(5_000), 'g');
+        q.push(Cycle(5_100), 'h');
+        assert_eq!(q.pop(), Some((Cycle(5_000), 'g')));
+        assert_eq!(q.pop(), Some((Cycle(5_100), 'h')));
+        assert!(q.is_empty());
+    }
+
+    /// Random schedules whose gaps mix short hops, jumps across bitmap
+    /// words (64+), and jumps past the whole ring (512+), with interleaved
+    /// `peek_time`/`pop_if_at`, checked against a reference `(time, seq)`
+    /// ordering.
+    #[test]
+    fn prop_gaps_and_pop_if_at_match_a_reference() {
+        let mut rng = SplitMix64::new(0x6a95);
+        for case in 0..200 {
+            let mut q = EventQueue::new();
+            let mut model = BTreeSet::new();
+            let mut now = 0u64;
+            for i in 0..400usize {
+                let gap = match rng.next_below(6) {
+                    0 => 64 + rng.next_below(LANE as u64 - 64),
+                    1 => LANE as u64 + rng.next_below(3 * LANE as u64),
+                    _ => rng.next_below(64),
+                };
+                q.push(Cycle(now + gap), i);
+                model.insert((now + gap, i));
+                match rng.next_below(3) {
+                    0 => {
+                        let want = model.first().map(|&(t, _)| Cycle(t));
+                        assert_eq!(q.peek_time(), want, "case {case}: peek");
+                    }
+                    1 => {
+                        let limit = now + rng.next_below(2 * LANE as u64);
+                        let got = q.pop_if_at(Cycle(limit));
+                        let want = match model.first() {
+                            Some(&(t, _)) if t <= limit => model.pop_first(),
+                            _ => None,
+                        };
+                        assert_eq!(got.map(|(t, i)| (t.raw(), i)), want, "case {case}");
+                        if let Some((t, _)) = want {
+                            now = t;
+                        }
+                    }
+                    _ => {}
+                }
+                assert!(q.slots.len() <= q.high_water());
+            }
+            drain_against(&mut q, &mut model);
         }
     }
 }

@@ -133,18 +133,25 @@ pub(crate) struct L2Victim {
 /// Set-associative, true LRU (per-set ordering, most recent last). Lines
 /// with outstanding MSHRs are pinned and never chosen as victims.
 ///
-/// Storage is a single flat array indexed by `set * ways`: set `s` occupies
-/// `slots[s * ways ..][..lens[s]]` in LRU order, and promotion/eviction
-/// rotate the occupied suffix instead of `Vec::remove` + `push`. One wrinkle
-/// keeps the old semantics exact: when a fill finds every way pinned by an
-/// MSHR, the set temporarily holds more than `ways` lines. A flat array
-/// cannot over-allocate, so such a set spills — whole — into `overflow`
-/// (the old `Vec` representation, same ordering rules) and migrates back
-/// once invalidations shrink it to `ways` lines or fewer. `spilled` counts
+/// Storage is flat per set: set `s` occupies `ways` consecutive slots, of
+/// which the first `lens[s]` hold its lines in LRU order, and promotion/
+/// eviction rotate the occupied suffix instead of `Vec::remove` + `push`.
+/// Sets are stored in chunks of [`CHUNK_SETS`]; a chunk's slots are built
+/// on the first fill into any of its sets, so host memory follows the sets
+/// a run touches rather than the modelled capacity. Lookups in an empty
+/// set never touch storage. One wrinkle keeps the old semantics exact:
+/// when a fill finds every way pinned by an MSHR, the set temporarily
+/// holds more than `ways` lines. Flat storage cannot over-allocate, so
+/// such a set spills — whole — into `overflow` (the old `Vec`
+/// representation, same ordering rules) and migrates back once
+/// invalidations shrink it to `ways` lines or fewer. `spilled` counts
 /// spilled sets so the hot path pays one predictable branch.
 #[derive(Debug)]
 pub(crate) struct L2Cache {
-    slots: Vec<L2Line>,
+    /// Set storage, chunk `s / CHUNK_SETS` at offset
+    /// `(s % CHUNK_SETS) * ways`. An empty `Vec` is a chunk no fill has
+    /// reached yet.
+    chunks: Vec<Vec<L2Line>>,
     /// Occupied ways per set (`<= ways`); slots beyond are placeholders.
     /// For a spilled set this is `SPILLED` and `overflow` holds the lines.
     lens: Vec<u8>,
@@ -167,19 +174,23 @@ pub(crate) struct L2Cache {
 /// `lens` marker for a set living in `overflow`.
 const SPILLED: u8 = u8::MAX;
 
+/// Sets per storage chunk.
+const CHUNK_SETS: usize = 64;
+
+/// A never-read filler for a free slot.
+fn placeholder() -> L2Line {
+    L2Line::new(LineAddr(0), L2State::Shared, false)
+}
+
 impl L2Cache {
     pub(crate) fn new(geom: CacheGeometry) -> L2Cache {
         let sets = geom.sets() as usize;
-        let ways = geom.ways as usize;
         L2Cache {
-            // Placeholder lines are never read: scans stop at `lens[set]`.
-            slots: (0..sets * ways)
-                .map(|_| L2Line::new(LineAddr(0), L2State::Shared, false))
-                .collect(),
+            chunks: (0..sets.div_ceil(CHUNK_SETS)).map(|_| Vec::new()).collect(),
             lens: vec![0; sets],
             overflow: FxHashMap::default(),
             spilled: 0,
-            ways,
+            ways: geom.ways as usize,
             set_mask: sets as u64 - 1,
             mshrs: FxHashMap::default(),
             si_queue: VecDeque::new(),
@@ -193,30 +204,45 @@ impl L2Cache {
         (line.0 & self.set_mask) as usize
     }
 
+    /// `(chunk, offset)` of a set's first slot.
+    #[inline]
+    fn locate(&self, set_idx: usize) -> (usize, usize) {
+        (set_idx / CHUNK_SETS, (set_idx % CHUNK_SETS) * self.ways)
+    }
+
+    /// Fills chunk `c` with placeholders if no fill has reached it yet.
+    /// Placeholder lines are never read: scans stop at `lens[set]`.
+    fn build_chunk(&mut self, c: usize) {
+        if self.chunks[c].is_empty() {
+            let len = CHUNK_SETS.min(self.lens.len()) * self.ways;
+            self.chunks[c] = (0..len).map(|_| placeholder()).collect();
+        }
+    }
+
     #[inline]
     fn is_spilled(&self, set_idx: usize) -> bool {
         self.spilled != 0 && self.lens[set_idx] == SPILLED
     }
 
-    /// The occupied flat slice of one (non-spilled) set, LRU order.
+    /// The occupied flat slice of one (non-spilled) set, LRU order. An
+    /// empty set's slice does not touch storage.
     #[inline]
     fn set(&mut self, set_idx: usize) -> &mut [L2Line] {
         debug_assert_ne!(self.lens[set_idx], SPILLED);
-        let base = set_idx * self.ways;
-        &mut self.slots[base..base + self.lens[set_idx] as usize]
+        let len = self.lens[set_idx] as usize;
+        if len == 0 {
+            return &mut [];
+        }
+        let (c, base) = self.locate(set_idx);
+        &mut self.chunks[c][base..base + len]
     }
 
     /// Moves a flat set into the overflow representation (all ways pinned,
     /// a fill must over-allocate). Order is preserved verbatim.
     fn spill_set(&mut self, set_idx: usize) -> &mut Vec<L2Line> {
-        debug_assert_ne!(self.lens[set_idx], SPILLED);
-        let base = set_idx * self.ways;
-        let len = self.lens[set_idx] as usize;
-        let mut v = Vec::with_capacity(len + 1);
-        for i in 0..len {
-            let placeholder = L2Line::new(LineAddr(0), L2State::Shared, false);
-            v.push(std::mem::replace(&mut self.slots[base + i], placeholder));
-        }
+        // Room for the over-allocating fill that triggered the spill.
+        let mut v = Vec::with_capacity(self.ways + 1);
+        v.extend(self.set(set_idx).iter_mut().map(|l| std::mem::replace(l, placeholder())));
         self.lens[set_idx] = SPILLED;
         self.spilled += 1;
         self.overflow.entry(set_idx).or_insert(v)
@@ -225,10 +251,11 @@ impl L2Cache {
     /// Migrates a spilled set back to flat storage once it fits again.
     fn unspill_set(&mut self, set_idx: usize, v: Vec<L2Line>) {
         debug_assert!(v.len() <= self.ways);
-        let base = set_idx * self.ways;
+        let (c, base) = self.locate(set_idx);
+        self.build_chunk(c);
         let len = v.len();
-        for (i, entry) in v.into_iter().enumerate() {
-            self.slots[base + i] = entry;
+        for (slot, entry) in self.chunks[c][base..].iter_mut().zip(v) {
+            *slot = entry;
         }
         self.lens[set_idx] = len as u8;
         self.spilled -= 1;
@@ -272,9 +299,12 @@ impl L2Cache {
             let set = self.overflow.get(&set_idx).expect("spilled set present");
             return set.iter().find(|l| l.line == line);
         }
-        let base = set_idx * self.ways;
-        let set = &self.slots[base..base + self.lens[set_idx] as usize];
-        set.iter().find(|l| l.line == line)
+        let len = self.lens[set_idx] as usize;
+        if len == 0 {
+            return None;
+        }
+        let (c, base) = self.locate(set_idx);
+        self.chunks[c][base..base + len].iter().find(|l| l.line == line)
     }
 
     /// Inserts a freshly filled line, evicting an unpinned LRU victim if the
@@ -287,26 +317,22 @@ impl L2Cache {
             return self.insert_spilled(set_idx, entry);
         }
         let ways = self.ways;
-        let base = set_idx * ways;
         let len = self.lens[set_idx] as usize;
-        let set = &mut self.slots[base..base + len];
+        let (c, base) = self.locate(set_idx);
+        self.build_chunk(c);
+        let set = &mut self.chunks[c][base..base + len];
         if let Some(pos) = set.iter().position(|l| l.line == line) {
             // Replace in place (e.g. a coherent fill over a transparent line).
             set[pos..].rotate_left(1);
             set[len - 1] = entry;
-            return (None, &mut self.slots[base + len - 1]);
+            return (None, &mut self.chunks[c][base + len - 1]);
         }
         if len >= ways {
             // Evict the least-recently-used line not pinned by an MSHR.
-            let pin_pos = set.iter().position(|l| !self.mshrs.contains_key(&l.line));
-            if let Some(pos) = pin_pos {
-                let set = &mut self.slots[base..base + len];
+            if let Some(pos) = set.iter().position(|l| !self.mshrs.contains_key(&l.line)) {
                 set[pos..].rotate_left(1);
                 let victim = std::mem::replace(&mut set[len - 1], entry);
-                return (
-                    Some(L2Victim { entry: victim }),
-                    &mut self.slots[base + len - 1],
-                );
+                return (Some(L2Victim { entry: victim }), &mut self.chunks[c][base + len - 1]);
             }
             // Every way is pinned: preserve the old over-allocation
             // semantics by spilling the whole set.
@@ -316,9 +342,10 @@ impl L2Cache {
             let r = set.last_mut().expect("just pushed");
             return (None, r);
         }
-        self.slots[base + len] = entry;
+        let chunk = &mut self.chunks[c];
+        chunk[base + len] = entry;
         self.lens[set_idx] += 1;
-        (None, &mut self.slots[base + len])
+        (None, &mut chunk[base + len])
     }
 
     /// `insert` for a set living in the overflow representation.
@@ -367,8 +394,7 @@ impl L2Cache {
         if let Some(pos) = set.iter().position(|l| l.line == line) {
             let len = set.len();
             set[pos..].rotate_left(1);
-            let placeholder = L2Line::new(LineAddr(0), L2State::Shared, false);
-            let removed = std::mem::replace(&mut set[len - 1], placeholder);
+            let removed = std::mem::replace(&mut set[len - 1], placeholder());
             self.lens[set_idx] -= 1;
             Some(removed)
         } else {
@@ -394,6 +420,12 @@ impl L2Cache {
         flat + self.overflow.values().map(|v| v.len()).sum::<usize>()
     }
 
+    /// Number of storage chunks built so far.
+    #[cfg(test)]
+    fn built_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| !c.is_empty()).count()
+    }
+
     /// Iterates over all resident lines (for finalization).
     pub(crate) fn drain_all(&mut self) -> Vec<L2Line> {
         let mut out = Vec::new();
@@ -405,11 +437,8 @@ impl L2Cache {
                 self.lens[set_idx] = 0;
                 continue;
             }
-            let base = set_idx * self.ways;
-            for i in 0..self.lens[set_idx] as usize {
-                let placeholder = L2Line::new(LineAddr(0), L2State::Shared, false);
-                out.push(std::mem::replace(&mut self.slots[base + i], placeholder));
-            }
+            let lines = self.set(set_idx).iter_mut().map(|l| std::mem::replace(l, placeholder()));
+            out.extend(lines);
             self.lens[set_idx] = 0;
         }
         out
@@ -528,6 +557,90 @@ mod tests {
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 1, 2, 4]);
         assert_eq!(c.len(), 0);
+    }
+
+    /// 128 sets x 2 ways: two storage chunks, sets 63 and 64 on either
+    /// side of the boundary.
+    fn two_chunks() -> L2Cache {
+        L2Cache::new(CacheGeometry { bytes: 128 * 2 * 64, ways: 2, line_bytes: 64 })
+    }
+
+    fn shared(line: u64) -> L2Line {
+        L2Line::new(LineAddr(line), L2State::Shared, true)
+    }
+
+    #[test]
+    fn new_cache_builds_no_chunk() {
+        let c = two_chunks();
+        assert_eq!(c.chunks.len(), 2);
+        assert_eq!(c.built_chunks(), 0);
+    }
+
+    #[test]
+    fn untouched_sets_answer_without_building_storage() {
+        let mut c = two_chunks();
+        assert!(c.get(LineAddr(5)).is_none());
+        assert!(c.get_mut(LineAddr(70)).is_none());
+        assert!(c.touch(LineAddr(64)).is_none());
+        assert!(c.remove(LineAddr(127)).is_none());
+        c.flag_si(LineAddr(3));
+        assert!(c.si_queue.is_empty());
+        assert!(c.drain_all().is_empty());
+        assert_eq!(c.built_chunks(), 0);
+    }
+
+    #[test]
+    fn a_fill_builds_exactly_one_chunk() {
+        let mut c = two_chunks();
+        c.insert(shared(70));
+        assert_eq!(c.built_chunks(), 1);
+        assert!(c.chunks[0].is_empty());
+        // More fills into the same chunk build nothing new.
+        c.insert(shared(71));
+        c.insert(shared(70 + 128));
+        assert_eq!(c.built_chunks(), 1);
+        // Emptying the set keeps its chunk; a lookup then reads nothing.
+        c.remove(LineAddr(70));
+        c.remove(LineAddr(70 + 128));
+        assert!(c.get(LineAddr(70)).is_none());
+        assert_eq!(c.built_chunks(), 1);
+    }
+
+    /// All-ways-pinned spill and unspill keep LRU order for a set just past
+    /// the chunk boundary, and `drain_all` yields sets in index order with
+    /// each set in LRU order, across both chunks.
+    #[test]
+    fn spill_and_drain_keep_lru_order_across_a_chunk_boundary() {
+        let mut c = two_chunks();
+        // Set 63 (chunk 0): 63 then 191, so 63 is LRU.
+        c.insert(shared(63));
+        c.insert(shared(191));
+        // Set 64 (chunk 1): fill both ways, pin them, over-allocate.
+        c.insert(shared(64));
+        c.insert(shared(192));
+        c.mshrs.insert(LineAddr(64), Mshr::new());
+        c.mshrs.insert(LineAddr(192), Mshr::new());
+        c.insert(shared(320));
+        assert_eq!(c.set_overflows, 1);
+        assert_eq!(c.built_chunks(), 2);
+        // Promote 64 inside the spilled set: order is now 192, 320, 64.
+        assert!(c.touch(LineAddr(64)).is_some());
+        // Removing 320 unspills the set as 192, 64.
+        assert!(c.remove(LineAddr(320)).is_some());
+        assert!(!c.is_spilled(64));
+        c.mshrs.clear();
+        let (v, _) = c.insert(shared(448));
+        assert_eq!(v.expect("evicts the LRU line").entry.line, LineAddr(192));
+        // Spill set 64 again (64, 448 pinned) and drain with it spilled.
+        c.mshrs.insert(LineAddr(64), Mshr::new());
+        c.mshrs.insert(LineAddr(448), Mshr::new());
+        c.insert(shared(576));
+        assert!(c.is_spilled(64));
+        c.touch(LineAddr(63));
+        let lines: Vec<u64> = c.drain_all().into_iter().map(|l| l.line.0).collect();
+        assert_eq!(lines, vec![191, 63, 64, 448, 576]);
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.spilled, 0);
     }
 
     #[test]
