@@ -426,20 +426,28 @@ impl L2Cache {
         self.chunks.iter().filter(|c| !c.is_empty()).count()
     }
 
-    /// Iterates over all resident lines (for finalization).
+    /// Removes and returns every resident line (for finalization), sets in
+    /// index order and each set in LRU order. Only built chunks are
+    /// visited: every fill and every spill builds its chunk first, so the
+    /// sets of an unbuilt chunk are empty.
     pub(crate) fn drain_all(&mut self) -> Vec<L2Line> {
         let mut out = Vec::new();
-        for set_idx in 0..self.lens.len() {
-            if self.is_spilled(set_idx) {
-                let mut v = self.overflow.remove(&set_idx).expect("spilled set present");
-                self.spilled -= 1;
-                out.append(&mut v);
-                self.lens[set_idx] = 0;
+        for c in 0..self.chunks.len() {
+            if self.chunks[c].is_empty() {
                 continue;
             }
-            let lines = self.set(set_idx).iter_mut().map(|l| std::mem::replace(l, placeholder()));
-            out.extend(lines);
-            self.lens[set_idx] = 0;
+            let first = c * CHUNK_SETS;
+            for set_idx in first..(first + CHUNK_SETS).min(self.lens.len()) {
+                if self.is_spilled(set_idx) {
+                    let mut v = self.overflow.remove(&set_idx).expect("spilled set present");
+                    self.spilled -= 1;
+                    out.append(&mut v);
+                } else {
+                    let set = self.set(set_idx);
+                    out.extend(set.iter_mut().map(|l| std::mem::replace(l, placeholder())));
+                }
+                self.lens[set_idx] = 0;
+            }
         }
         out
     }
@@ -641,6 +649,36 @@ mod tests {
         assert_eq!(lines, vec![191, 63, 64, 448, 576]);
         assert_eq!(c.len(), 0);
         assert_eq!(c.spilled, 0);
+    }
+
+    /// `drain_all` visits built chunks only; with chunks 0 and 2 of four
+    /// built and one set of chunk 2 spilled, it still returns every line,
+    /// sets in index order and LRU order within each set, and leaves the
+    /// cache empty.
+    #[test]
+    fn drain_all_skips_unbuilt_chunks() {
+        // 256 sets x 2 ways: four chunks.
+        let mut c = L2Cache::new(CacheGeometry { bytes: 256 * 2 * 64, ways: 2, line_bytes: 64 });
+        assert_eq!(c.chunks.len(), 4);
+        // Set 3 (chunk 0): 259 then 3, so 259 is LRU.
+        c.insert(shared(259));
+        c.insert(shared(3));
+        // Set 130 (chunk 2): both ways pinned, then an over-allocating fill.
+        c.insert(shared(130));
+        c.insert(shared(386));
+        c.mshrs.insert(LineAddr(130), Mshr::new());
+        c.mshrs.insert(LineAddr(386), Mshr::new());
+        c.insert(shared(642));
+        assert!(c.is_spilled(130));
+        // Set 129 (chunk 2) is filled last but drains before set 130.
+        c.insert(shared(129));
+        assert_eq!(c.built_chunks(), 2);
+        assert!(c.chunks[1].is_empty() && c.chunks[3].is_empty());
+        let lines: Vec<u64> = c.drain_all().into_iter().map(|l| l.line.0).collect();
+        assert_eq!(lines, vec![259, 3, 129, 130, 386, 642]);
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.spilled, 0);
+        assert!(c.drain_all().is_empty());
     }
 
     #[test]

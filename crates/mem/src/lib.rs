@@ -33,6 +33,7 @@
 //! values.
 
 mod classify;
+mod directory;
 mod home;
 mod l1;
 mod l2;

@@ -1,10 +1,9 @@
-use std::collections::VecDeque;
-
 use slipstream_kernel::config::{DirScheme, Latencies, MachineConfig};
-use slipstream_kernel::{Addr, CpuId, Cycle, EventQueue, FxHashMap, LineAddr, NodeId, Server, SharerSet};
+use slipstream_kernel::{Addr, CpuId, Cycle, EventQueue, LineAddr, NodeId, Server, SharerSet};
 use slipstream_prog::{BarrierId, EventId, LockId};
 
 use crate::classify::OpenReq;
+use crate::directory::{DirLine, Directory, PendingTxn, Perm, WaitKind};
 use crate::home::HomeMap;
 use crate::l1::{L1Cache, L1State};
 use crate::l2::{L2Cache, L2Line, L2State, Mshr, Waiter};
@@ -41,76 +40,6 @@ pub enum Access {
     /// A non-binding prefetch was accepted (or dropped); the processor
     /// continues immediately.
     Accepted,
-}
-
-/// Directory permission state for one line.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-enum Perm {
-    #[default]
-    Uncached,
-    Shared(SharerSet), // bit per node
-    Excl(NodeId),
-}
-
-/// What an in-flight directory transaction is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WaitKind {
-    /// Memory data (reply scheduled via `MemReady`).
-    Mem,
-    /// The exclusive owner's response to an intervention.
-    Owner,
-    /// Invalidation acks from sharers.
-    Acks,
-}
-
-#[derive(Debug)]
-struct PendingTxn {
-    requester: NodeId,
-    excl: bool,
-    needs_data: bool,
-    acks_left: u32,
-    wait: WaitKind,
-    owner_gone: bool,
-    wb_received: bool,
-    si_hint: bool,
-}
-
-#[derive(Debug, Default)]
-struct DirLine {
-    perm: Perm,
-    /// Future-sharer bits (§4.2), one per node, set by transparent loads.
-    /// Always tracked precisely, in every [`DirScheme`].
-    future: SharerSet,
-    /// Limited-pointer overflow: the sharer list stopped tracking new
-    /// readers once the pointer budget was exhausted, so the next write
-    /// must broadcast invalidations. Always `false` under
-    /// [`DirScheme::FullMap`].
-    ovfl: bool,
-    busy: Option<PendingTxn>,
-    waiters: VecDeque<Msg>,
-    /// Consecutive exclusive-ownership hand-offs between distinct nodes
-    /// (saturating); two or more marks the line migratory.
-    handoffs: u8,
-    /// The last node that held the line exclusively.
-    last_excl: Option<NodeId>,
-}
-
-impl DirLine {
-    /// Records an exclusive grant to `to`, updating migratory detection.
-    fn note_excl_handoff(&mut self, to: NodeId) {
-        match self.last_excl {
-            Some(prev) if prev != to => self.handoffs = self.handoffs.saturating_add(1),
-            Some(_) => {}
-            None => {}
-        }
-        self.last_excl = Some(to);
-    }
-
-    /// Whether the line follows a migratory (read-modify-write hand-off)
-    /// pattern.
-    fn migratory(&self) -> bool {
-        self.handoffs >= 2
-    }
 }
 
 #[derive(Debug)]
@@ -152,7 +81,7 @@ pub struct MemSystem {
     home: HomeMap,
     line_bytes: u64,
     nodes: Vec<NodeState>,
-    dir: FxHashMap<LineAddr, DirLine>,
+    dir: Directory,
     sync: SyncCtl,
     stats: MemStats,
     next_token: u64,
@@ -220,7 +149,7 @@ impl MemSystem {
             home,
             line_bytes,
             nodes,
-            dir: FxHashMap::default(),
+            dir: Directory::new(cfg.page_bytes, line_bytes),
             sync: SyncCtl::new(participants),
             stats: MemStats::default(),
             next_token: 0,
@@ -261,7 +190,7 @@ impl MemSystem {
             home,
             line_bytes: cfg.line_bytes(),
             nodes: vec![node_state(cfg)],
-            dir: FxHashMap::default(),
+            dir: Directory::new(cfg.page_bytes, cfg.line_bytes()),
             sync: SyncCtl::new(participants),
             stats: MemStats::default(),
             next_token: 0,
@@ -896,16 +825,18 @@ impl MemSystem {
             "directory message routed to a non-home node"
         );
         let home = msg.dst;
-        let mut dl = self.dir.remove(&line).unwrap_or_default();
         let is_request = matches!(
             msg.kind,
             MsgKind::ReadReq { .. } | MsgKind::ReadExclReq { .. } | MsgKind::TransReadReq { .. }
         );
-        if dl.busy.is_some() && is_request {
-            dl.waiters.push_back(msg);
-            self.dir.insert(line, dl);
+        let slot = self.dir.slot(line);
+        if slot.busy.is_some() && is_request {
+            slot.waiters.push_back(msg);
             return;
         }
+        // Work on an owned entry so the protocol below can call back into
+        // `self`; it goes back into its slot before any waiter is retried.
+        let mut dl = std::mem::take(slot);
         let mut retry = false;
         // Snapshot the pre-transition state only when someone is watching:
         // the clone is potentially allocating (spilled sharer sets), so the
@@ -1296,7 +1227,7 @@ impl MemSystem {
                 }
             }
         }
-        self.dir.insert(line, dl);
+        *self.dir.slot(line) = dl;
         if retry {
             self.retry_waiters(now, line, sched);
         }
@@ -1310,7 +1241,7 @@ impl MemSystem {
         self.route(now, msg, sched);
         if is_data_reply {
             let mut retry = false;
-            if let Some(dl) = self.dir.get_mut(&line) {
+            if let Some(dl) = self.dir.get_mut(line) {
                 if matches!(dl.busy, Some(PendingTxn { wait: WaitKind::Mem, .. })) {
                     dl.busy = None;
                     retry = true;
@@ -1326,7 +1257,7 @@ impl MemSystem {
     fn retry_waiters(&mut self, now: Cycle, line: LineAddr, sched: &mut impl MemSched) {
         loop {
             let next = {
-                let dl = match self.dir.get_mut(&line) {
+                let dl = match self.dir.get_mut(line) {
                     Some(dl) => dl,
                     None => return,
                 };
@@ -1860,9 +1791,11 @@ impl MemSystem {
     /// # Errors
     ///
     /// Returns a description of the first violation found (indicates a
-    /// protocol bug or a deadlocked workload).
+    /// protocol bug or a deadlocked workload). Directory lines are checked
+    /// first, in ascending address order, so the report names the
+    /// lowest-addressed stuck line.
     pub fn check_quiescent(&self) -> Result<(), String> {
-        for (line, dl) in &self.dir {
+        for (line, dl) in self.dir.iter() {
             if let Some(p) = &dl.busy {
                 return Err(format!(
                     "directory line {line} still busy: {p:?}, perm={:?}, {} deferred",

@@ -69,6 +69,15 @@ impl Harness {
         }
     }
 
+    /// Handles every event scheduled before `limit`.
+    fn run_until(&mut self, limit: Cycle) {
+        let mut out = Vec::new();
+        while self.q.peek_time().is_some_and(|t| t < limit) {
+            let (t, ev) = self.q.pop().expect("peeked");
+            self.mem.handle_event(t, ev, &mut self.q, &mut out);
+        }
+    }
+
     fn completion_time(&self, token: Token) -> Cycle {
         self.done
             .iter()
@@ -595,4 +604,27 @@ fn migratory_detection_grants_reads_exclusively() {
     );
     assert!(end_opt < end_base, "the hand-off chain should be faster: {end_opt} vs {end_base}");
     opt.mem.check_quiescent().expect("quiescent");
+}
+
+#[test]
+fn quiescence_reports_the_lowest_busy_directory_line() {
+    // Remote reads from nodes 1 and 3 to lines on pages 2 and 0 keep both
+    // home directories waiting on memory around cycle 180.
+    let high = 2 * PAGE + 0x40;
+    let busy_at_180 = |addrs: &[u64]| {
+        let mut h = Harness::new(4);
+        for (&addr, node) in addrs.iter().zip([1, 3]) {
+            let _ = h.access(0, cpu(node, 0), StreamRole::Solo, AccessKind::Read, addr);
+        }
+        h.run_until(Cycle(180));
+        h.mem.check_quiescent().expect_err("transactions in flight")
+    };
+    // Alone, each line is reported busy at that instant.
+    assert!(busy_at_180(&[high]).starts_with("directory line L0x81 still busy"));
+    assert!(busy_at_180(&[LOCAL0]).starts_with("directory line L0x4 still busy"));
+    // Together, the lower line is named whichever request came first.
+    for addrs in [[high, LOCAL0], [LOCAL0, high]] {
+        let err = busy_at_180(&addrs);
+        assert!(err.starts_with("directory line L0x4 still busy"), "{err}");
+    }
 }
