@@ -10,68 +10,25 @@
 //! `trace_event` JSON of the run (open in Perfetto); `--metrics FILE`
 //! writes interval-metrics JSONL sampled every `--interval N` cycles
 //! (default 10000). See docs/observability.md.
-use slipstream_core::{
-    run_result_json, run_traced, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, TraceConfig,
-};
+use slipstream_bench::{exit_usage, flag_value, parse_run_args, RunArgs};
+use slipstream_core::{run_full, run_result_json, TraceConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: inspect <BENCH> <NODES> <single|double|slip> [--quick] \
-         [--ar L1|L0|G1|G0] [--si] [--json] [--trace FILE] [--metrics FILE] [--interval N]"
-    );
-    eprintln!(
-        "benchmarks: {}",
-        slipstream_workloads::quick_suite()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "inspect <BENCH> <NODES> <single|double|slip> [--quick] \
+                     [--ar L1|L0|G1|G0] [--si] [--json] [--trace FILE] [--metrics FILE] \
+                     [--interval N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(|s| s.as_str()).unwrap_or("SOR");
-    let nodes: u16 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let mode = match args.get(2).map(|s| s.as_str()) {
-        Some("double") => ExecMode::Double,
-        Some("slip") => ExecMode::Slipstream,
-        _ => ExecMode::Single,
+    let fail = |e: String| -> ! {
+        eprintln!("inspect: {e}");
+        exit_usage(USAGE)
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    let Some(w) = slipstream_workloads::by_name(name, quick) else {
-        eprintln!("unknown benchmark: {name}");
-        usage();
-    };
-    // A flag that takes a value must have one (a trailing `--ar` would
-    // otherwise index out of bounds).
-    let flag_value = |flag: &str| -> Option<&String> {
-        args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-            Some(v) => v,
-            None => {
-                eprintln!("{flag} requires a value");
-                usage();
-            }
-        })
-    };
-    let ar = match flag_value("--ar").map(|s| s.as_str()) {
-        Some("L1") => ArSyncMode::OneTokenLocal,
-        Some("L0") => ArSyncMode::ZeroTokenLocal,
-        Some("G0") => ArSyncMode::ZeroTokenGlobal,
-        _ => ArSyncMode::OneTokenGlobal,
-    };
-    let mut slip = SlipstreamConfig::prefetch_only(ar);
-    if args.iter().any(|a| a == "--si") {
-        slip = SlipstreamConfig::with_self_invalidation(ar);
-    }
-    let trace_path = flag_value("--trace").cloned();
-    let metrics_path = flag_value("--metrics").cloned();
-    let interval: u64 = match flag_value("--interval") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--interval requires a number, got {v}");
-            usage();
-        }),
+    let RunArgs { workload: w, spec } = parse_run_args(&args).unwrap_or_else(|e| fail(e));
+    let flag = |name: &str| flag_value(&args, name).unwrap_or_else(|e| fail(e));
+    let trace_path = flag("--trace");
+    let metrics_path = flag("--metrics");
+    let interval: u64 = match flag("--interval") {
+        Some(v) => v.parse().unwrap_or_else(|_| fail(format!("--interval requires a number, got {v}"))),
         None => 10_000,
     };
     let trace_cfg = TraceConfig {
@@ -79,9 +36,10 @@ fn main() {
         interval: if metrics_path.is_some() || trace_path.is_some() { interval } else { 0 },
         ..TraceConfig::default()
     };
-    let spec = RunSpec::new(nodes, mode).with_slip(slip).with_trace(trace_cfg);
-    let (r, trace) = run_traced(w.as_ref(), &spec);
-    if let Some(data) = &trace {
+    let spec = spec.with_trace(trace_cfg);
+    let out = run_full(w.as_ref(), &spec);
+    let r = out.result;
+    if let Some(data) = &out.trace {
         if let Some(path) = &trace_path {
             std::fs::write(path, data.chrome_trace_json()).expect("write trace file");
             eprintln!("wrote {path} ({} events, {} dropped)", data.records.len(), data.dropped);
@@ -95,7 +53,14 @@ fn main() {
         println!("{}", run_result_json(&r));
         return;
     }
-    println!("{} {} @{}: {} cycles, recoveries={}", name, mode, nodes, r.exec_cycles, r.recoveries);
+    println!(
+        "{} {} @{}: {} cycles, recoveries={}",
+        w.name(),
+        spec.mode,
+        spec.nodes,
+        r.exec_cycles,
+        r.recoveries
+    );
     for role in [slipstream_core::StreamRole::Solo, slipstream_core::StreamRole::R, slipstream_core::StreamRole::A] {
         let b = r.avg_breakdown(role);
         if b.total() > 0 {

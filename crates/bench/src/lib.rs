@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 
 use slipstream_core::{
-    host_note, telemetry, ExecMode, HostProfile, HostProfileData, RunResult, RunSpec,
+    host_note, telemetry, ArSyncMode, ExecMode, HostProfile, HostProfileData, RunResult, RunSpec,
     SlipstreamConfig, Workload,
 };
 use slipstream_workloads::{paper_suite, quick_suite};
@@ -373,6 +373,77 @@ impl<W: Workload> Workload for Renamed<W> {
     }
 }
 
+/// The run a single-run binary (`inspect`, `trace`) was asked for.
+pub struct RunArgs {
+    /// The selected benchmark, at paper or `--quick` size.
+    pub workload: Box<dyn Workload>,
+    /// Node count, execution mode and slipstream configuration.
+    pub spec: RunSpec,
+}
+
+/// Parses the arguments every single-run binary shares:
+/// `<BENCH> <NODES> <single|double|slip> [--quick] [--ar L1|L0|G1|G0]
+/// [--si]`. Other flags are left to the caller. Every value must be one
+/// the binaries know: a missing or unknown benchmark, node count, mode or
+/// `--ar` label is an error, never a default.
+pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+    let positional = |i: usize, what: &str| {
+        args.get(i)
+            .filter(|a| !a.starts_with("--"))
+            .ok_or_else(|| format!("missing {what}"))
+    };
+    let quick = args.iter().any(|a| a == "--quick");
+    let name = positional(0, "<BENCH>")?;
+    let workload = slipstream_workloads::by_name(name, quick)
+        .ok_or_else(|| format!("unknown benchmark {name}"))?;
+    let nodes = positional(1, "<NODES>")?;
+    let nodes: u16 = nodes
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("node count must be a positive integer, got {nodes}"))?;
+    let mode = match positional(2, "<single|double|slip>")?.as_str() {
+        "single" => ExecMode::Single,
+        "double" => ExecMode::Double,
+        "slip" => ExecMode::Slipstream,
+        other => return Err(format!("unknown mode {other} (expected single, double or slip)")),
+    };
+    let ar = match flag_value(args, "--ar")? {
+        None => ArSyncMode::OneTokenGlobal,
+        Some(v) => ArSyncMode::ALL
+            .into_iter()
+            .find(|m| m.label() == v)
+            .ok_or_else(|| format!("unknown --ar {v} (expected L1, L0, G1 or G0)"))?,
+    };
+    let slip = if args.iter().any(|a| a == "--si") {
+        SlipstreamConfig::with_self_invalidation(ar)
+    } else {
+        SlipstreamConfig::prefetch_only(ar)
+    };
+    Ok(RunArgs { workload, spec: RunSpec::new(nodes, mode).with_slip(slip) })
+}
+
+/// The value following `flag` in `args`, or `None` when the flag is
+/// absent. A flag given as the last argument, with no value, is an error.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} requires a value")),
+        },
+    }
+}
+
+/// Prints `usage` and the benchmark names to stderr and exits with
+/// status 2 (bad invocation).
+pub fn exit_usage(usage: &str) -> ! {
+    eprintln!("usage: {usage}");
+    let names: Vec<String> = quick_suite().iter().map(|w| w.name().to_string()).collect();
+    eprintln!("benchmarks: {}", names.join(", "));
+    std::process::exit(2);
+}
+
 /// Prints a row of `f64` cells after a left-justified label.
 pub fn print_row(label: &str, cells: &[f64]) {
     print!("{label:<12}");
@@ -389,4 +460,58 @@ pub fn print_header(label: &str, cols: &[String]) {
         print!(" {c:>8}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<RunArgs, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_run_args(&args)
+    }
+
+    #[test]
+    fn run_args_accept_every_documented_value() {
+        let a = parse("SOR 8 slip --quick").expect("valid");
+        assert_eq!(a.workload.name(), "SOR");
+        assert_eq!((a.spec.nodes, a.spec.mode), (8, ExecMode::Slipstream));
+        assert_eq!(a.spec.slip, SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal));
+        for (word, mode) in [
+            ("single", ExecMode::Single),
+            ("double", ExecMode::Double),
+            ("slip", ExecMode::Slipstream),
+        ] {
+            assert_eq!(parse(&format!("CG 2 {word}")).expect(word).spec.mode, mode);
+        }
+        for ar in ArSyncMode::ALL {
+            let line = format!("sor 4 slip --ar {ar}");
+            let a = parse(&line).expect(&line);
+            assert_eq!(a.spec.slip, SlipstreamConfig::prefetch_only(ar));
+        }
+        let a = parse("SOR 4 slip --ar G0 --si").expect("valid");
+        let si = SlipstreamConfig::with_self_invalidation(ArSyncMode::ZeroTokenGlobal);
+        assert_eq!(a.spec.slip, si);
+        assert_eq!(parse("SOR 1 single").expect("one node").spec.nodes, 1);
+    }
+
+    #[test]
+    fn run_args_reject_unknown_or_missing_values() {
+        for (line, why) in [
+            ("", "missing <BENCH>"),
+            ("--quick", "missing <BENCH>"),
+            ("NOPE 4 slip", "unknown benchmark NOPE"),
+            ("SOR", "missing <NODES>"),
+            ("SOR eight slip", "node count must be a positive integer, got eight"),
+            ("SOR 0 slip", "node count must be a positive integer, got 0"),
+            ("SOR 70000 slip", "node count must be a positive integer, got 70000"),
+            ("SOR 4", "missing <single|double|slip>"),
+            ("SOR 4 --quick", "missing <single|double|slip>"),
+            ("SOR 4 slipstream", "unknown mode slipstream (expected single, double or slip)"),
+            ("SOR 4 slip --ar", "--ar requires a value"),
+            ("SOR 4 slip --ar G2", "unknown --ar G2 (expected L1, L0, G1 or G0)"),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(why), "{line:?}");
+        }
+    }
 }

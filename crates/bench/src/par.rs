@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use slipstream_core::{
-    host_note, run, run_full, run_full_with_tracer, ExecMode, HostProfile, HostProfileData,
+    host_note, run, run_full, run_observed, ExecMode, HostProfile, HostProfileData,
     MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
 };
 
@@ -253,7 +253,7 @@ impl<'w> Plan<'w> {
 
 /// Runs one cell, returning the host profile alongside the result (`Some`
 /// only when `spec.host` is on). Checked runs attach the protocol
-/// checker's tracer directly so the profile survives; the checker verdict
+/// checker directly so the profile survives; the checker verdict
 /// evaluation is charged to the profile's `check_s` phase.
 ///
 /// # Panics
@@ -272,8 +272,7 @@ pub(crate) fn run_cell_full(
         let out = run_full(w, spec);
         return (out.result, out.profile);
     }
-    let (checker, tracer) = slipstream_check::ProtocolChecker::new();
-    let mut out = run_full_with_tracer(w, spec, tracer);
+    let (mut out, checker) = run_observed(w, spec, slipstream_check::ProtocolChecker::new());
     let check_started = std::time::Instant::now();
     let report = checker.finish();
     if let Some(p) = out.profile.as_mut() {

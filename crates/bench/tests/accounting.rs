@@ -3,9 +3,7 @@
 //! cycle exactly, the access counters add up, and enabling tracing leaves
 //! the result bit-identical.
 
-use slipstream_core::{
-    run_traced, ExecMode, RunSpec, SlipstreamConfig, StreamRole, TraceConfig,
-};
+use slipstream_core::{run_full, ExecMode, RunSpec, SlipstreamConfig, StreamRole, TraceConfig};
 
 #[test]
 fn quick_suite_accounting_invariants() {
@@ -14,7 +12,8 @@ fn quick_suite_accounting_invariants() {
             let spec = RunSpec::new(2, mode)
                 .with_slip(SlipstreamConfig::default())
                 .with_trace(TraceConfig { hotlines: true, ..TraceConfig::default() });
-            let (r, data) = run_traced(w.as_ref(), &spec);
+            let out = run_full(w.as_ref(), &spec);
+            let (r, data) = (out.result, out.trace);
             let ctx = format!("{} {mode}", w.name());
 
             // Time accounting: exact, stream by stream.
@@ -38,7 +37,7 @@ fn quick_suite_accounting_invariants() {
 
             // Access accounting: every data access resolves as exactly one
             // of L1 hit, L2 hit, or L2 miss; merged misses are a subset of
-            // misses. Checked against the tracer's independent counters.
+            // misses. Checked against the recorder's independent counters.
             let c = data.expect("trace enabled").counts;
             assert_eq!(c.l1_hits, r.mem.l1_hits, "{ctx}");
             assert_eq!(c.l2_hits, r.mem.l2_hits, "{ctx}");
@@ -51,10 +50,9 @@ fn quick_suite_accounting_invariants() {
             );
 
             // Tracing is observation only.
-            let (untraced, none) =
-                run_traced(w.as_ref(), &RunSpec { trace: TraceConfig::default(), ..spec });
-            assert!(none.is_none());
-            assert_eq!(untraced, r, "{ctx}: traced run must be bit-identical");
+            let untraced = run_full(w.as_ref(), &RunSpec { trace: TraceConfig::default(), ..spec });
+            assert!(untraced.trace.is_none());
+            assert_eq!(untraced.result, r, "{ctx}: traced run must be bit-identical");
         }
     }
 }

@@ -101,15 +101,15 @@ fn fastpath_matches_queue_path_bit_for_bit() {
 /// path exists precisely to elide queue traffic.
 #[test]
 fn fastpath_traces_identical_event_streams() {
-    use slipstream_core::{run_traced, TraceConfig};
+    use slipstream_core::{run_full, TraceConfig};
     let suite = quick_suite();
     for w in suite.iter().take(3) {
         for mode in [ExecMode::Single, ExecMode::Slipstream] {
             let base = RunSpec::new(2, mode).with_trace(TraceConfig::full(10_000));
-            let (fast_r, fast_t) = run_traced(w.as_ref(), &base.clone().with_fastpath(true));
-            let (slow_r, slow_t) = run_traced(w.as_ref(), &base.clone().with_fastpath(false));
-            assert_eq!(fast_r, slow_r, "{} {mode:?} RunResult", w.name());
-            let (fast_t, slow_t) = (fast_t.expect("traced"), slow_t.expect("traced"));
+            let fast = run_full(w.as_ref(), &base.clone().with_fastpath(true));
+            let slow = run_full(w.as_ref(), &base.clone().with_fastpath(false));
+            assert_eq!(fast.result, slow.result, "{} {mode:?} RunResult", w.name());
+            let (fast_t, slow_t) = (fast.trace.expect("traced"), slow.trace.expect("traced"));
             assert_eq!(fast_t.records, slow_t.records, "{} {mode:?} records", w.name());
             assert_eq!(fast_t.counts, slow_t.counts, "{} {mode:?} counts", w.name());
             assert_eq!(fast_t.hot, slow_t.hot, "{} {mode:?} hot lines", w.name());

@@ -14,7 +14,7 @@
 //!    run to completion under the checker.
 
 use slipstream_core::{
-    run, run_full_with_tracer, ArSyncMode, DirScheme, ExecMode, RunResult, RunSpec,
+    run, run_observed, ArSyncMode, DirScheme, ExecMode, RunResult, RunSpec,
     SlipstreamConfig, Workload,
 };
 use slipstream_workloads::{by_name, quick_suite, Sor};
@@ -126,8 +126,7 @@ fn unoverflowed_limited_pointer_matches_full_map() {
 /// Runs `spec` with the coherence invariant checker attached, panicking
 /// on any violation.
 fn run_checked(w: &dyn Workload, spec: &RunSpec) -> RunResult {
-    let (checker, tracer) = slipstream_check::ProtocolChecker::new();
-    let out = run_full_with_tracer(w, spec, tracer);
+    let (out, checker) = run_observed(w, spec, slipstream_check::ProtocolChecker::new());
     let report = checker.finish();
     assert!(
         report.ok(),

@@ -5,7 +5,7 @@
 //! (serial `threads = 0` and PDES `threads >= 1`).
 
 use slipstream_core::{
-    run, run_full, run_full_with_tracer, run_traced, ArSyncMode, ExecMode, HostProfile, RunSpec,
+    run, run_full, run_observed, ArSyncMode, ExecMode, HostProfile, RunSpec,
     SlipstreamConfig, TraceConfig, Workload,
 };
 use slipstream_workloads::quick_suite;
@@ -60,8 +60,8 @@ fn profiling_preserves_trace_stream() {
             let spec = RunSpec::new(4, ExecMode::Slipstream)
                 .with_trace(TraceConfig::full(10_000))
                 .with_threads(threads);
-            let (plain_r, plain_t) = run_traced(w.as_ref(), &spec);
-            let plain_t = plain_t.expect("traced");
+            let plain = run_full(w.as_ref(), &spec);
+            let (plain_r, plain_t) = (plain.result, plain.trace.expect("traced"));
             let out = run_full(w.as_ref(), &profiled(&spec));
             let t = out.trace.expect("traced");
             let c = ctx(w.as_ref(), &spec);
@@ -87,8 +87,11 @@ fn profiling_preserves_checker_verdict() {
             let spec = RunSpec::new(4, ExecMode::Slipstream).with_threads(threads);
             let (plain_r, plain_report) = slipstream_check::run_checked(w.as_ref(), &spec);
 
-            let (checker, tracer) = slipstream_check::ProtocolChecker::new();
-            let out = run_full_with_tracer(w.as_ref(), &profiled(&spec), tracer);
+            let (out, checker) = run_observed(
+                w.as_ref(),
+                &profiled(&spec),
+                slipstream_check::ProtocolChecker::new(),
+            );
             let report = checker.finish();
 
             assert_eq!(plain_r, out.result, "{} diverged under profiling", ctx(w.as_ref(), &spec));

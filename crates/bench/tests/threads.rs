@@ -1,8 +1,9 @@
 //! Differential tests for the conservative parallel engine
 //! (`RunSpec::threads`): the worker count is a pure scheduling knob, so
 //! every `K >= 1` must produce bit-identical results — the full
-//! [`RunResult`], the trace event stream, and the protocol checker's
-//! observations — over the whole quick suite in every execution mode.
+//! [`RunResult`], the trace event stream, the protocol checker's
+//! observations, and the event stream a caller's observer sees — over the
+//! whole quick suite in every execution mode.
 //!
 //! `threads = 0` (the classic serial loop) is deliberately *not* compared
 //! here: the two engines differ in host-side accounting and event
@@ -10,9 +11,12 @@
 //! tests.
 
 use slipstream_core::{
-    run, run_traced, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, TraceConfig, Workload,
+    run, run_full, run_observed, ArSyncMode, ExecMode, MemObs, MemObserver, RunSpec,
+    SlipstreamConfig, TraceConfig, Workload,
 };
-use slipstream_workloads::quick_suite;
+use slipstream_kernel::Cycle;
+use slipstream_mem::AccessOutcome;
+use slipstream_workloads::{quick_suite, Sor};
 
 /// The four execution modes of the benchmark matrix, at `nodes` CMPs.
 fn mode_specs(nodes: u16) -> Vec<RunSpec> {
@@ -57,11 +61,11 @@ fn traced_runs_are_identical_across_worker_counts() {
     for w in suite.iter().take(3) {
         for mode in [ExecMode::Single, ExecMode::Slipstream] {
             let spec = RunSpec::new(4, mode).with_trace(TraceConfig::full(10_000));
-            let (r1, t1) = run_traced(w.as_ref(), &spec.clone().with_threads(1));
-            let t1 = t1.expect("traced");
+            let one = run_full(w.as_ref(), &spec.clone().with_threads(1));
+            let (r1, t1) = (one.result, one.trace.expect("traced"));
             for k in [2u16, 4] {
-                let (rk, tk) = run_traced(w.as_ref(), &spec.clone().with_threads(k));
-                let tk = tk.expect("traced");
+                let many = run_full(w.as_ref(), &spec.clone().with_threads(k));
+                let (rk, tk) = (many.result, many.trace.expect("traced"));
                 let c = ctx(w.as_ref(), &spec, k);
                 assert_eq!(r1, rk, "{c} RunResult");
                 assert_eq!(t1.records, tk.records, "{c} records");
@@ -134,4 +138,49 @@ fn checker_verdict_is_worker_count_invariant() {
             assert_eq!(r1, r2, "{c}: checked results diverged");
         }
     }
+}
+
+/// Every observation in delivery order.
+#[derive(Debug, Default)]
+struct Collect(Vec<(Cycle, MemObs)>);
+
+impl MemObserver for Collect {
+    fn observe(&mut self, at: Cycle, ev: &MemObs) {
+        self.0.push((at, ev.clone()));
+    }
+}
+
+/// A caller's observer sees every access on both engines, with no trace
+/// configured: its access events add up to the memory system's hit and
+/// miss counters on the serial loop and at any worker count, and the
+/// parallel engine delivers the identical event sequence for every K.
+#[test]
+fn caller_observer_sees_every_access_on_every_engine() {
+    let w = Sor::quick();
+    let spec = RunSpec::new(4, ExecMode::Single);
+    let mut parallel: Vec<Vec<(Cycle, MemObs)>> = Vec::new();
+    for k in [0u16, 1, 2, 3] {
+        let (out, seen) = run_observed(&w, &spec.clone().with_threads(k), Collect::default());
+        let count = |want: AccessOutcome| {
+            let hits = seen.0.iter().filter(
+                |(_, ev)| matches!(ev, MemObs::Access { outcome, .. } if *outcome == want),
+            );
+            hits.count() as u64
+        };
+        let m = &out.result.mem;
+        let c = format!("SOR quick single @4 CMPs, threads {k}");
+        assert!(m.l2_hits > 0 && m.l2_misses > 0, "{c}: the run exercises the caches");
+        assert_eq!(count(AccessOutcome::L1Hit), m.l1_hits, "{c}: L1 hits");
+        assert_eq!(count(AccessOutcome::L2Hit), m.l2_hits, "{c}: L2 hits");
+        assert_eq!(
+            count(AccessOutcome::MissNew) + count(AccessOutcome::MissMerged),
+            m.l2_misses,
+            "{c}: L2 misses"
+        );
+        assert_eq!(count(AccessOutcome::MissMerged), m.merged_misses, "{c}: merged misses");
+        if k >= 1 {
+            parallel.push(seen.0);
+        }
+    }
+    assert!(parallel[1..].iter().all(|s| *s == parallel[0]), "event sequence depends on K");
 }

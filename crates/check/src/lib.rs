@@ -15,7 +15,7 @@
 //!
 //! 2. **Dynamic protocol invariant checker** ([`ProtocolChecker`],
 //!    [`run_checked`]) — shadows the directory and L2 copy state through
-//!    the observation-only [`slipstream_mem::MemTracer`] hooks during a
+//!    the observation-only [`slipstream_mem::MemObs`] events during a
 //!    real simulation and asserts SWMR, sharer-set/copy agreement at
 //!    quiescence, MSHR no-leak, and the §4 self-invalidation contracts
 //!    (rules `PC001`..`PC009`). Checked runs are bit-identical to
@@ -51,9 +51,7 @@ pub use predict::{
     cross_validate, cross_validate_with, BoundCheck, RegionDelta, SharingObserver,
     ValidationReport,
 };
-pub use protocol::{
-    run_checked, CheckCounts, CheckReport, CheckTracer, ProtoRule, ProtocolChecker, Violation,
-};
+pub use protocol::{run_checked, CheckCounts, CheckReport, ProtoRule, ProtocolChecker, Violation};
 pub use verify::{verify_layout, verify_pair, verify_tasks, TaskProgram};
 
 use slipstream_core::Workload;

@@ -1,7 +1,7 @@
 //! Cross-validation of the static analyzer against dynamic measurement.
 //!
 //! [`cross_validate`] runs one workload conventionally (single mode, the
-//! serial engine) with a [`SharingObserver`] tracer attached, and checks
+//! serial engine) with a [`SharingObserver`] attached, and checks
 //! that
 //!
 //! * every relevant `MemStats` counter lies inside the [`TrafficBounds`]
@@ -17,58 +17,36 @@
 //! (a `fuzz` pipeline stage), so every generated program differentially
 //! tests the analyzer too.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
-use slipstream_core::{run_with_tracer, ExecMode, RunSpec, Workload};
+use slipstream_core::{run_observed, ExecMode, RunSpec, Workload};
 use slipstream_kernel::config::MachineConfig;
-use slipstream_kernel::{CpuId, Cycle, LineAddr};
-use slipstream_mem::{AccessKind, AccessOutcome, MemStats, MemTracer, StreamRole};
+use slipstream_kernel::Cycle;
+use slipstream_mem::{AccessKind, MemObs, MemObserver, MemStats};
 
 use crate::analysis::{analyze, AnalysisConfig, CostEstimate, ObservedClass, TrafficBounds};
 use crate::{instantiate_workload, json_escape};
 
-/// Shared state behind the [`SharingObserver`] tracer handle.
+/// Observation-only [`MemObserver`] recording which nodes touch and
+/// write each cache line. Exact in single mode: an access event fires for
+/// every access, hits included, so the observed sets equal the footprint
+/// sets the analyzer computes statically.
 #[derive(Debug, Default)]
-struct ObserverState {
+pub struct SharingObserver {
     /// Nodes that accessed each line (line index = byte addr / line size).
     accessors: BTreeMap<u64, BTreeSet<u16>>,
     /// Nodes that wrote each line.
     writers: BTreeMap<u64, BTreeSet<u16>>,
 }
 
-/// Observation-only [`MemTracer`] recording which nodes touch and write
-/// each cache line. Exact in single mode: the `access` hook fires for
-/// every access, hits included, so the observed sets equal the footprint
-/// sets the analyzer computes statically.
-#[derive(Debug)]
-pub struct SharingObserver {
-    state: Rc<RefCell<ObserverState>>,
-}
-
-impl SharingObserver {
-    fn new() -> (SharingObserver, Rc<RefCell<ObserverState>>) {
-        let state = Rc::new(RefCell::new(ObserverState::default()));
-        (SharingObserver { state: Rc::clone(&state) }, state)
-    }
-}
-
-impl MemTracer for SharingObserver {
-    fn access(
-        &mut self,
-        _now: Cycle,
-        cpu: CpuId,
-        _role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        _outcome: AccessOutcome,
-    ) {
-        let mut st = self.state.borrow_mut();
-        let node = cpu.node().0;
-        st.accessors.entry(line.0).or_default().insert(node);
-        if kind == AccessKind::Write || kind == AccessKind::ExclPrefetch {
-            st.writers.entry(line.0).or_default().insert(node);
+impl MemObserver for SharingObserver {
+    fn observe(&mut self, _at: Cycle, ev: &MemObs) {
+        if let MemObs::Access { cpu, kind, line, .. } = *ev {
+            let node = cpu.node().0;
+            self.accessors.entry(line.0).or_default().insert(node);
+            if kind == AccessKind::Write || kind == AccessKind::ExclPrefetch {
+                self.writers.entry(line.0).or_default().insert(node);
+            }
         }
     }
 }
@@ -246,9 +224,8 @@ pub fn cross_validate_with(
 
     let spec =
         RunSpec::new(ntasks as u16, ExecMode::Single).with_machine(cfg.clone());
-    let (observer, state) = SharingObserver::new();
-    let result = run_with_tracer(workload, &spec, Box::new(observer));
-    let st = state.borrow();
+    let (out, st) = run_observed(workload, &spec, SharingObserver::default());
+    let result = out.result;
 
     let checks = bound_checks(&analysis.bounds, &result.mem);
 

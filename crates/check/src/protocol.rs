@@ -1,12 +1,12 @@
 //! Dynamic coherence-protocol invariant checker.
 //!
-//! [`ProtocolChecker`] installs a [`MemTracer`] that shadows the
+//! [`ProtocolChecker`] is a [`MemObserver`] that shadows the
 //! directory's permission state and the per-node L2 copy set from the
-//! observation hooks alone, and cross-checks the two against the
-//! protocol's invariants while a real simulation runs. It never feeds
-//! anything back into the simulation (tracers observe only), so a checked
-//! run is bit-identical to an unchecked one — which the differential tests
-//! assert.
+//! memory system's [`MemObs`] events alone, and cross-checks the two
+//! against the protocol's invariants while a real simulation runs. It
+//! never feeds anything back into the simulation (observers only
+//! observe), so a checked run is bit-identical to an unchecked one —
+//! which the differential tests assert.
 //!
 //! Invariants (rule ids `PC001`..`PC009`, see `docs/static-analysis.md`):
 //!
@@ -26,13 +26,11 @@
 //! directory-originated messages against the shadowed directory state;
 //! exact directory/copy equality is asserted only at quiescence.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use slipstream_core::{RunResult, RunSpec, Workload};
 use slipstream_kernel::{Cycle, FxHashMap, LineAddr, NodeId, SharerSet};
-use slipstream_mem::{MemTracer, TracePerm};
+use slipstream_mem::{MemObs, MemObserver, TracePerm};
 
 use crate::diag::json_escape;
 
@@ -294,8 +292,11 @@ struct Copies {
 
 const MAX_VIOLATIONS: usize = 100;
 
+/// The dynamic checker: a [`MemObserver`] that shadows the protocol
+/// state. Attach it to a run with [`slipstream_core::run_observed`], which
+/// hands it back afterwards, then call [`ProtocolChecker::finish`].
 #[derive(Default)]
-struct ProtoState {
+pub struct ProtocolChecker {
     dir: FxHashMap<u64, TracePerm>,
     copies: FxHashMap<u64, Copies>,
     /// Lines with observed transparent activity (never cleared: an
@@ -308,7 +309,12 @@ struct ProtoState {
     counts: CheckCounts,
 }
 
-impl ProtoState {
+impl ProtocolChecker {
+    /// A checker with empty shadow state.
+    pub fn new() -> ProtocolChecker {
+        ProtocolChecker::default()
+    }
+
     fn report(
         &mut self,
         rule: ProtoRule,
@@ -565,8 +571,10 @@ impl ProtoState {
         }
     }
 
-    /// Quiescence checks: run after the simulation fully drains.
-    fn finish(mut self) -> CheckReport {
+    /// Runs the quiescence checks and returns the report. Call only after
+    /// the simulation has completed (the machine asserts quiescence on
+    /// teardown).
+    pub fn finish(mut self) -> CheckReport {
         if !self.mshrs.is_empty() {
             let mut sample: Vec<(u16, u64)> = self.mshrs.keys().copied().collect();
             sample.sort_unstable();
@@ -625,140 +633,56 @@ impl ProtoState {
     }
 }
 
-/// The tracer half: forwards every hook into the shared state. Installed
-/// into the memory system via [`slipstream_core::run_with_tracer`].
-pub struct CheckTracer {
-    state: Rc<RefCell<ProtoState>>,
-}
-
-impl fmt::Debug for CheckTracer {
+impl fmt::Debug for ProtocolChecker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("CheckTracer")
+        write!(f, "ProtocolChecker({} violations)", self.violations.len())
     }
 }
 
-impl MemTracer for CheckTracer {
-    // `access` is deliberately not overridden: it is the hottest hook and
-    // the invariants are all expressible over fills and protocol messages.
-    // Keeping it a no-op holds checked-run overhead under the 10% budget.
-
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {
-        self.state.borrow_mut().fill(now, node, line, excl, transparent);
-    }
-
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-        self.state.borrow_mut().dir_transition(now, line, from, to, requester);
-    }
-
-    fn intervention(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        owner: NodeId,
-        requester: NodeId,
-        _excl: bool,
-    ) {
-        self.state.borrow_mut().intervention(now, line, owner, requester);
-    }
-
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {
-        self.state.borrow_mut().invalidation(now, line, target);
-    }
-
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
-        self.state.borrow_mut().si_hint(now, line, owner);
-    }
-
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, _invalidated: bool) {
-        self.state.borrow_mut().si_action(now, node, line);
-    }
-
-    fn transparent_upgrade(&mut self, _now: Cycle, line: LineAddr, _from: NodeId) {
-        let mut s = self.state.borrow_mut();
-        s.counts.si_events += 1;
-        s.transparent_lines.insert(line.0, ());
-    }
-
-    fn transparent_reply(&mut self, _now: Cycle, line: LineAddr, _from: NodeId) {
-        let mut s = self.state.borrow_mut();
-        s.counts.si_events += 1;
-        s.transparent_lines.insert(line.0, ());
-    }
-
-    fn l2_evict(&mut self, now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool) {
-        self.state.borrow_mut().l2_evict(now, node, line, dirty, transparent);
-    }
-
-    fn l2_invalidate(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().l2_invalidate(now, node, line);
-    }
-
-    fn l2_downgrade(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().l2_downgrade(now, node, line);
-    }
-
-    fn mshr_alloc(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().mshr_alloc(now, node, line);
-    }
-
-    fn mshr_free(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().mshr_free(now, node, line);
-    }
-}
-
-/// The handle half: create with [`ProtocolChecker::new`], install the
-/// returned tracer into a run, then call [`ProtocolChecker::finish`].
-pub struct ProtocolChecker {
-    state: Rc<RefCell<ProtoState>>,
-}
-
-impl ProtocolChecker {
-    /// Creates a checker and the tracer to install into the run.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> (ProtocolChecker, Box<dyn MemTracer>) {
-        let state = Rc::new(RefCell::new(ProtoState::default()));
-        let tracer = Box::new(CheckTracer { state: Rc::clone(&state) });
-        (ProtocolChecker { state }, tracer)
-    }
-
-    /// Runs the quiescence checks and returns the report. Call only after
-    /// the simulation has completed (the machine asserts quiescence on
-    /// teardown).
-    pub fn finish(self) -> CheckReport {
-        let state = Rc::try_unwrap(self.state)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|rc| rc.borrow().clone_for_report());
-        state.finish()
-    }
-}
-
-impl ProtoState {
-    /// Fallback when the tracer is still alive at `finish` time (it never
-    /// is in practice: the machine drops its tracer on teardown).
-    fn clone_for_report(&self) -> ProtoState {
-        ProtoState {
-            dir: self.dir.clone(),
-            copies: self.copies.clone(),
-            transparent_lines: self.transparent_lines.clone(),
-            mshrs: self.mshrs.clone(),
-            violations: self.violations.clone(),
-            suppressed: self.suppressed,
-            counts: self.counts.clone(),
+impl MemObserver for ProtocolChecker {
+    fn observe(&mut self, now: Cycle, ev: &MemObs) {
+        match *ev {
+            // The invariants are all expressible over fills and protocol
+            // messages; Access is not even built for the checker (see
+            // `wants_access`).
+            MemObs::Access { .. } | MemObs::Writeback { .. } | MemObs::Sync { .. } => {}
+            MemObs::Fill { node, line, excl, transparent } => {
+                self.fill(now, node, line, excl, transparent)
+            }
+            MemObs::DirTransition { line, ref from, ref to, requester } => {
+                self.dir_transition(now, line, from, to, requester)
+            }
+            MemObs::Intervention { line, owner, requester, .. } => {
+                self.intervention(now, line, owner, requester)
+            }
+            MemObs::Invalidation { line, target } => self.invalidation(now, line, target),
+            MemObs::SiHint { line, owner } => self.si_hint(now, line, owner),
+            MemObs::SiAction { node, line, .. } => self.si_action(now, node, line),
+            MemObs::TransparentUpgrade { line, .. } | MemObs::TransparentReply { line, .. } => {
+                self.counts.si_events += 1;
+                self.transparent_lines.insert(line.0, ());
+            }
+            MemObs::L2Evict { node, line, dirty, transparent } => {
+                self.l2_evict(now, node, line, dirty, transparent)
+            }
+            MemObs::L2Invalidate { node, line } => self.l2_invalidate(now, node, line),
+            MemObs::L2Downgrade { node, line } => self.l2_downgrade(now, node, line),
+            MemObs::MshrAlloc { node, line } => self.mshr_alloc(now, node, line),
+            MemObs::MshrFree { node, line } => self.mshr_free(now, node, line),
         }
+    }
+
+    /// Not needed, so checked runs on either engine never build (or
+    /// buffer) access events. Keeps checked-run overhead under the 10%
+    /// budget.
+    fn wants_access(&self) -> bool {
+        false
     }
 }
 
 /// Runs `workload` under `spec` with the protocol checker attached.
 /// The [`RunResult`] is bit-identical to an unchecked run.
 pub fn run_checked(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, CheckReport) {
-    let (checker, tracer) = ProtocolChecker::new();
-    let result = slipstream_core::run_with_tracer(workload, spec, tracer);
-    (result, checker.finish())
+    let (out, checker) = slipstream_core::run_observed(workload, spec, ProtocolChecker::new());
+    (out.result, checker.finish())
 }

@@ -63,10 +63,7 @@ mod workload;
 
 pub use machine::Machine;
 pub use report::{RunResult, StreamReport, TimeBreakdown};
-pub use runner::{
-    run, run_full, run_full_with_tracer, run_sequential, run_traced, run_with_tracer, RunOutput,
-    RunSpec,
-};
+pub use runner::{run, run_full, run_observed, run_sequential, RunOutput, RunSpec};
 pub use telemetry::{HostProfile, HostProfileData, HOST_PROFILE_SCHEMA};
 pub use stream::{BlockKind, StreamState};
 pub use trace::{
@@ -80,4 +77,4 @@ pub use workload::{TaskBuilderFn, Workload};
 pub use slipstream_kernel::config::{
     ArSyncMode, DirScheme, ExecMode, MachineConfig, OverflowPolicy, SlipstreamConfig,
 };
-pub use slipstream_mem::{ClassCounts, MemStats, RequestClass, StreamRole};
+pub use slipstream_mem::{ClassCounts, MemObs, MemObserver, MemStats, RequestClass, StreamRole};

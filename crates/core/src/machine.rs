@@ -1,19 +1,19 @@
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::any::Any;
 
 use slipstream_kernel::config::{ArSyncMode, ExecMode, MachineConfig, SlipstreamConfig};
 use slipstream_kernel::{Cycle, EventQueue, TaskId};
 use slipstream_mem::{
-    Access, AccessKind, Completion, FanoutTracer, MemEvent, MemSched, MemSystem, MemTracer,
-    StreamRole, SyncOp,
+    Access, AccessKind, Completion, MemEvent, MemObserver, MemSched, MemSystem, StreamRole,
+    SyncOp,
 };
 use slipstream_prog::{Op, ProgramIter, Space};
 
-use crate::pdes::{NodePart, NodeRec, RecordingTracer, SamplePart, WireMsg};
+use crate::pdes::{NodeCapture, NodePart, NodeRec, SamplePart, WireMsg};
 use crate::report::{RunResult, StreamReport};
+use crate::runner::RunOutput;
 use crate::stream::{BlockKind, PairState, StreamExec, StreamState};
 use crate::telemetry::{Heartbeat, Histogram, QueueStats, QUEUE_SAMPLE_PERIOD};
-use crate::trace::{IntervalSample, TraceConfig, TraceData, TraceKind, TraceState};
+use crate::trace::{IntervalSample, Recorder, TraceConfig, TraceData, TraceKind, TraceState};
 
 /// Serial-loop host-profiling state ([`crate::telemetry`]): queue-lane
 /// occupancy histograms plus the optional progress heartbeat. Boxed so
@@ -77,8 +77,9 @@ pub struct Machine {
     nodes: u16,
     tasks: usize,
     /// Live trace collection, when the run is traced ([`TraceConfig`]
-    /// enabled). `None` on the default path: no buffer exists and the
-    /// main loop pays one `Option` check per event.
+    /// enabled); its [`Recorder`] is the memory system's first observer.
+    /// `None` on the default path: no buffer exists and the main loop
+    /// pays one `Option` check per event.
     trace: Option<TraceState>,
     /// Batched fast-path execution: when a stream yields and its `Resume`
     /// would be the very next event popped anyway, continue executing it
@@ -105,9 +106,6 @@ pub struct Machine {
     /// prefix. Always empty on the serial path.
     inbox: Vec<WireMsg>,
     inbox_cursor: usize,
-    /// PDES record sink: machine-level trace events captured per node for
-    /// the post-run deterministic merge. `None` on the serial path.
-    pdes_sink: Option<Rc<RefCell<Vec<NodeRec>>>>,
     /// Host-profiling state for the serial loop; `None` (the default)
     /// costs the main loop one pointer-null check per event. PDES node
     /// machines keep this `None` — the driver samples them at epoch
@@ -120,7 +118,8 @@ pub struct Machine {
 
 impl Machine {
     /// Assembles a machine from pre-built streams. `pairs` links R/A
-    /// stream indices in slipstream mode (empty otherwise).
+    /// stream indices in slipstream mode (empty otherwise). `observer` is
+    /// attached to the memory system after the trace recorder, if any.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         name: String,
@@ -135,21 +134,15 @@ impl Machine {
         tasks: usize,
         trace_cfg: TraceConfig,
         fastpath: bool,
-        extra_tracer: Option<Box<dyn MemTracer>>,
+        observer: Option<Box<dyn MemObserver>>,
     ) -> Machine {
-        let mut recorder: Option<Box<dyn MemTracer>> = None;
-        let trace = if trace_cfg.enabled() {
+        let trace = trace_cfg.enabled().then(|| {
             let (state, rec) = TraceState::new(trace_cfg);
-            recorder = Some(Box::new(rec));
-            Some(state)
-        } else {
-            None
-        };
-        match (recorder, extra_tracer) {
-            (Some(r), Some(e)) => mem.set_tracer(Box::new(FanoutTracer::new(vec![r, e]))),
-            (Some(r), None) => mem.set_tracer(r),
-            (None, Some(e)) => mem.set_tracer(e),
-            (None, None) => {}
+            mem.attach_observer(Box::new(rec));
+            state
+        });
+        if let Some(o) = observer {
+            mem.attach_observer(o);
         }
         let mut cpu_map = vec![None; cfg.nodes as usize * 2];
         for (i, s) in streams.iter().enumerate() {
@@ -185,7 +178,6 @@ impl Machine {
             inbox_next: Cycle(u64::MAX),
             inbox: Vec::new(),
             inbox_cursor: 0,
-            pdes_sink: None,
             host: None,
             completions: Vec::new(),
         }
@@ -217,30 +209,22 @@ impl Machine {
         }
     }
 
-    /// Runs the machine to completion and reports the results.
+    /// Runs the machine to completion and reports the results with the
+    /// collected [`TraceData`] when the machine was assembled with an
+    /// enabled [`TraceConfig`] (the host profile is left for the runner
+    /// to fill), the host-profiler's queue statistics when
+    /// [`Machine::enable_host_profile`] was called, and the observer
+    /// handed to [`Machine::assemble`]. The [`RunResult`] is bit-identical
+    /// with or without any of them: they only observe.
     ///
     /// # Panics
     ///
     /// Panics if the run deadlocks (streams blocked with an empty event
     /// queue) or the memory system fails its quiescence check — both
     /// indicate bugs, not valid results.
-    pub fn run(self) -> RunResult {
-        self.run_traced().0
-    }
-
-    /// Runs the machine to completion, additionally returning the
-    /// collected [`TraceData`] when the machine was assembled with an
-    /// enabled [`TraceConfig`]. The [`RunResult`] is bit-identical to an
-    /// untraced run: tracing is observation only.
-    pub fn run_traced(self) -> (RunResult, Option<TraceData>) {
-        let (result, trace, _) = self.run_full();
-        (result, trace)
-    }
-
-    /// [`Machine::run_traced`] plus the host-profiler's queue statistics
-    /// when [`Machine::enable_host_profile`] was called (`None`
-    /// otherwise).
-    pub(crate) fn run_full(mut self) -> (RunResult, Option<TraceData>, Option<QueueStats>) {
+    pub(crate) fn run_full(
+        mut self,
+    ) -> (RunOutput, Option<QueueStats>, Option<Box<dyn MemObserver>>) {
         // A-streams start first: at equal timestamps the reduced stream
         // must get to run ahead, or an R-stream with an empty first session
         // would misread it as deviated before it ever executed.
@@ -300,20 +284,16 @@ impl Machine {
         // Package collected trace state. Must happen before `take_stats`
         // below: the closing interval sample snapshots the live counters.
         let host_events = self.host_events;
+        let mut observers = self.mem.take_observers().into_iter();
         let trace = self.trace.take().map(|mut ts| {
             if ts.cfg.interval > 0 {
                 let sample = self.sample_at(exec_cycles, host_events);
                 ts.samples.push(sample);
             }
-            // Drop the memory system's recorder so ours is the only
-            // handle left on the shared buffer.
-            drop(self.mem.clear_tracer());
-            let buf = Rc::try_unwrap(ts.buf)
-                .expect("trace buffer uniquely owned once the recorder is detached")
-                .into_inner();
+            let rec: Box<dyn Any> = observers.next().expect("the recorder is attached first");
             TraceData::assemble(
                 ts.cfg,
-                buf,
+                rec.downcast::<Recorder>().expect("the first observer is the recorder").buf,
                 ts.samples,
                 self.q.total_pushed(),
                 self.q.high_water(),
@@ -339,7 +319,7 @@ impl Machine {
             recoveries: self.recoveries,
             host_events,
         };
-        (result, trace, host_queue)
+        (RunOutput { result, trace, profile: None }, host_queue, observers.next())
     }
 
     /// Hands a memory event to the memory system and applies the
@@ -383,18 +363,13 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Seeds the initial resume events (A-streams first, exactly as
-    /// [`Machine::run_traced`] does) and, when the run is traced or
-    /// checked, installs the per-node record sink whose contents the
-    /// driver merges deterministically after the run.
-    pub(crate) fn pdes_start(
-        &mut self,
-        sink: Option<Rc<RefCell<Vec<NodeRec>>>>,
-        capture_access: bool,
-    ) {
+    /// [`Machine::run_full`] does) and, when the run is traced or
+    /// observed, attaches the per-node capture whose records the driver
+    /// merges deterministically after the run.
+    pub(crate) fn pdes_start(&mut self, capture: Option<NodeCapture>) {
         debug_assert!(self.trace.is_none(), "node machines are assembled untraced");
-        if let Some(sink) = sink {
-            self.pdes_sink = Some(Rc::clone(&sink));
-            self.mem.set_tracer(Box::new(RecordingTracer::new(sink, capture_access)));
+        if let Some(c) = capture {
+            self.mem.attach_observer(Box::new(c));
         }
         for (i, s) in self.streams.iter().enumerate() {
             if s.role == StreamRole::A {
@@ -556,11 +531,9 @@ impl Machine {
             .check_quiescent()
             .unwrap_or_else(|e| panic!("memory system not quiescent at end of run: {e}"));
         self.mem.finalize();
-        drop(self.mem.clear_tracer());
-        let records = self.pdes_sink.take().map_or_else(Vec::new, |s| {
-            Rc::try_unwrap(s)
-                .expect("record sink uniquely owned once the recorder is detached")
-                .into_inner()
+        let records = self.mem.take_observers().pop().map_or_else(Vec::new, |c| {
+            let c: Box<dyn Any> = c;
+            c.downcast::<NodeCapture>().expect("node machines attach only the capture").records
         });
         NodePart {
             streams: self.stream_reports(),
@@ -583,12 +556,17 @@ impl Machine {
     // Trace collection
     // ------------------------------------------------------------------
 
-    /// Records a machine-level trace event (recoveries, session ends).
+    /// Records a machine-level trace event (recoveries, session ends)
+    /// next to the memory system's observations: into the serial
+    /// recorder, or into a PDES node's capture.
     fn trace_event(&mut self, t: Cycle, kind: TraceKind) {
-        if let Some(ts) = self.trace.as_ref() {
-            ts.buf.borrow_mut().push(t, kind);
-        } else if let Some(sink) = self.pdes_sink.as_ref() {
-            sink.borrow_mut().push(NodeRec::Machine(t, kind));
+        if !self.mem.observed() {
+            return;
+        }
+        if let Some(rec) = self.mem.observer_mut::<Recorder>() {
+            rec.buf.push(t, kind);
+        } else if let Some(c) = self.mem.observer_mut::<NodeCapture>() {
+            c.records.push((t, NodeRec::Machine(kind)));
         }
     }
 
@@ -912,11 +890,9 @@ impl Machine {
             // rather than transparent loads (matches the paper's ~27%
             // average transparent fraction, Figure 9).
             self.pairs[p].r_session += 1;
-            if self.trace.is_some() || self.pdes_sink.is_some() {
-                let node = self.streams[i].cpu.node();
-                let session = self.pairs[p].r_session;
-                self.trace_event(at, TraceKind::SessionEnd { node, session });
-            }
+            let node = self.streams[i].cpu.node();
+            let session = self.pairs[p].r_session;
+            self.trace_event(at, TraceKind::SessionEnd { node, session });
             self.adapt_step(p, at);
             if self.pairs[p].method.insert_on_entry() {
                 self.insert_token(p, at);

@@ -34,30 +34,25 @@
 //! [`Machine`] refuses to carry one past the epoch bound or past a
 //! pending inbox arrival.
 //!
-//! Tracing and checking ride the same determinism: each node records its
-//! [`MemTracer`] hook calls and machine-level events as plain data
-//! ([`NodeRec`]), and after the run the driver merges all records in
-//! `(time, node, capture index)` order and replays them into the real
-//! recorder and/or the caller's tracer on one thread. The replayed stream
-//! is identical for every K.
+//! Tracing and observation ride the same determinism: each node captures
+//! its memory system's [`MemObs`] events and its machine-level events as
+//! plain data ([`NodeRec`]), and after the run the driver merges all
+//! records in `(time, node, capture index)` order and replays them through
+//! [`MemObserver::observe`] into the trace recorder and/or the caller's
+//! observer on one thread. The replayed stream is identical for every K.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use slipstream_kernel::config::{ArSyncMode, ExecMode, MachineConfig};
-use slipstream_kernel::{CpuId, Cycle, LineAddr, NodeId, TaskId};
-use slipstream_mem::{
-    AccessKind, AccessOutcome, HomeMap, MemStats, MemSystem, MemTracer, Msg, StreamRole, SyncOp,
-    TracePerm,
-};
+use slipstream_kernel::{CpuId, Cycle, NodeId, TaskId};
+use slipstream_mem::{HomeMap, MemObs, MemObserver, MemStats, MemSystem, Msg, StreamRole};
 use slipstream_prog::{InstanceId, Layout};
 
 use crate::machine::Machine;
 use crate::report::{RunResult, StreamReport};
-use crate::runner::RunSpec;
+use crate::runner::{RunOutput, RunSpec};
 use crate::stream::{PairState, StreamExec};
 use crate::telemetry::{
     Heartbeat, Histogram, HostProfileData, QueueStats, WorkerStats,
@@ -84,202 +79,34 @@ pub(crate) struct WireMsg {
     pub msg: Msg,
 }
 
-/// One captured [`MemTracer`] hook invocation, stored as plain data so it
-/// can cross threads and be replayed later. Mirrors the trait's sixteen
-/// hooks one-to-one.
-#[derive(Debug, Clone)]
-pub(crate) enum TraceCall {
-    Access { now: Cycle, cpu: CpuId, role: StreamRole, kind: AccessKind, line: LineAddr, outcome: AccessOutcome },
-    Fill { now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool },
-    DirTransition { now: Cycle, line: LineAddr, from: TracePerm, to: TracePerm, requester: NodeId },
-    Intervention { now: Cycle, line: LineAddr, owner: NodeId, requester: NodeId, excl: bool },
-    Invalidation { now: Cycle, line: LineAddr, target: NodeId },
-    SiHint { now: Cycle, line: LineAddr, owner: NodeId },
-    SiAction { now: Cycle, node: NodeId, line: LineAddr, invalidated: bool },
-    TransparentUpgrade { now: Cycle, line: LineAddr, from: NodeId },
-    TransparentReply { now: Cycle, line: LineAddr, from: NodeId },
-    Writeback { now: Cycle, line: LineAddr, from: NodeId },
-    SyncEvent { now: Cycle, cpu: CpuId, op: SyncOp, granted: u32 },
-    L2Evict { now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool },
-    L2Invalidate { now: Cycle, node: NodeId, line: LineAddr },
-    L2Downgrade { now: Cycle, node: NodeId, line: LineAddr },
-    MshrAlloc { now: Cycle, node: NodeId, line: LineAddr },
-    MshrFree { now: Cycle, node: NodeId, line: LineAddr },
-}
-
-impl TraceCall {
-    fn at(&self) -> Cycle {
-        match *self {
-            TraceCall::Access { now, .. }
-            | TraceCall::Fill { now, .. }
-            | TraceCall::DirTransition { now, .. }
-            | TraceCall::Intervention { now, .. }
-            | TraceCall::Invalidation { now, .. }
-            | TraceCall::SiHint { now, .. }
-            | TraceCall::SiAction { now, .. }
-            | TraceCall::TransparentUpgrade { now, .. }
-            | TraceCall::TransparentReply { now, .. }
-            | TraceCall::Writeback { now, .. }
-            | TraceCall::SyncEvent { now, .. }
-            | TraceCall::L2Evict { now, .. }
-            | TraceCall::L2Invalidate { now, .. }
-            | TraceCall::L2Downgrade { now, .. }
-            | TraceCall::MshrAlloc { now, .. }
-            | TraceCall::MshrFree { now, .. } => now,
-        }
-    }
-
-    /// Replays the captured call into a live tracer.
-    fn apply(&self, t: &mut dyn MemTracer) {
-        match self {
-            TraceCall::Access { now, cpu, role, kind, line, outcome } => {
-                t.access(*now, *cpu, *role, *kind, *line, *outcome)
-            }
-            TraceCall::Fill { now, node, line, excl, transparent } => {
-                t.fill(*now, *node, *line, *excl, *transparent)
-            }
-            TraceCall::DirTransition { now, line, from, to, requester } => {
-                t.dir_transition(*now, *line, from, to, *requester)
-            }
-            TraceCall::Intervention { now, line, owner, requester, excl } => {
-                t.intervention(*now, *line, *owner, *requester, *excl)
-            }
-            TraceCall::Invalidation { now, line, target } => t.invalidation(*now, *line, *target),
-            TraceCall::SiHint { now, line, owner } => t.si_hint(*now, *line, *owner),
-            TraceCall::SiAction { now, node, line, invalidated } => {
-                t.si_action(*now, *node, *line, *invalidated)
-            }
-            TraceCall::TransparentUpgrade { now, line, from } => {
-                t.transparent_upgrade(*now, *line, *from)
-            }
-            TraceCall::TransparentReply { now, line, from } => {
-                t.transparent_reply(*now, *line, *from)
-            }
-            TraceCall::Writeback { now, line, from } => t.writeback(*now, *line, *from),
-            TraceCall::SyncEvent { now, cpu, op, granted } => {
-                t.sync_event(*now, *cpu, *op, *granted)
-            }
-            TraceCall::L2Evict { now, node, line, dirty, transparent } => {
-                t.l2_evict(*now, *node, *line, *dirty, *transparent)
-            }
-            TraceCall::L2Invalidate { now, node, line } => t.l2_invalidate(*now, *node, *line),
-            TraceCall::L2Downgrade { now, node, line } => t.l2_downgrade(*now, *node, *line),
-            TraceCall::MshrAlloc { now, node, line } => t.mshr_alloc(*now, *node, *line),
-            TraceCall::MshrFree { now, node, line } => t.mshr_free(*now, *node, *line),
-        }
-    }
-}
-
 /// One record captured on a node during parallel execution: a memory
-/// tracer hook or a machine-level trace event (recovery, session end).
-/// Records are merged across nodes in `(time, node, capture index)`
+/// system observation or a machine-level trace event (recovery, session
+/// end). Records are merged across nodes in `(time, node, capture index)`
 /// order before replay.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeRec {
-    Mem(TraceCall),
-    Machine(Cycle, TraceKind),
+    Mem(MemObs),
+    Machine(TraceKind),
 }
 
-impl NodeRec {
-    fn at(&self) -> Cycle {
-        match self {
-            NodeRec::Mem(c) => c.at(),
-            NodeRec::Machine(t, _) => *t,
-        }
-    }
-}
-
-/// A [`MemTracer`] that captures every hook as a [`TraceCall`] for later
-/// single-threaded replay. `capture_access` elides the (very hot) access
-/// hook when no trace recorder will consume it — the protocol checker
-/// does not observe accesses.
+/// The observer a node machine attaches to its memory-system partition:
+/// captures every observation as plain data, so it can cross threads and
+/// be replayed later. The machine appends its own records to the same
+/// list (see `Machine::trace_event`). `access` elides the (very hot)
+/// access events when no consumer wants them.
 #[derive(Debug)]
-pub(crate) struct RecordingTracer {
-    sink: Rc<RefCell<Vec<NodeRec>>>,
-    capture_access: bool,
+pub(crate) struct NodeCapture {
+    pub records: Vec<(Cycle, NodeRec)>,
+    access: bool,
 }
 
-impl RecordingTracer {
-    pub(crate) fn new(sink: Rc<RefCell<Vec<NodeRec>>>, capture_access: bool) -> RecordingTracer {
-        RecordingTracer { sink, capture_access }
+impl MemObserver for NodeCapture {
+    fn observe(&mut self, at: Cycle, ev: &MemObs) {
+        self.records.push((at, NodeRec::Mem(ev.clone())));
     }
 
-    fn push(&self, call: TraceCall) {
-        self.sink.borrow_mut().push(NodeRec::Mem(call));
-    }
-}
-
-impl MemTracer for RecordingTracer {
-    fn access(
-        &mut self,
-        now: Cycle,
-        cpu: CpuId,
-        role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        outcome: AccessOutcome,
-    ) {
-        if self.capture_access {
-            self.push(TraceCall::Access { now, cpu, role, kind, line, outcome });
-        }
-    }
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {
-        self.push(TraceCall::Fill { now, node, line, excl, transparent });
-    }
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-        self.push(TraceCall::DirTransition {
-            now,
-            line,
-            from: from.clone(),
-            to: to.clone(),
-            requester,
-        });
-    }
-    fn intervention(&mut self, now: Cycle, line: LineAddr, owner: NodeId, requester: NodeId, excl: bool) {
-        self.push(TraceCall::Intervention { now, line, owner, requester, excl });
-    }
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {
-        self.push(TraceCall::Invalidation { now, line, target });
-    }
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
-        self.push(TraceCall::SiHint { now, line, owner });
-    }
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, invalidated: bool) {
-        self.push(TraceCall::SiAction { now, node, line, invalidated });
-    }
-    fn transparent_upgrade(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.push(TraceCall::TransparentUpgrade { now, line, from });
-    }
-    fn transparent_reply(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.push(TraceCall::TransparentReply { now, line, from });
-    }
-    fn writeback(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.push(TraceCall::Writeback { now, line, from });
-    }
-    fn sync_event(&mut self, now: Cycle, cpu: CpuId, op: SyncOp, granted: u32) {
-        self.push(TraceCall::SyncEvent { now, cpu, op, granted });
-    }
-    fn l2_evict(&mut self, now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool) {
-        self.push(TraceCall::L2Evict { now, node, line, dirty, transparent });
-    }
-    fn l2_invalidate(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.push(TraceCall::L2Invalidate { now, node, line });
-    }
-    fn l2_downgrade(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.push(TraceCall::L2Downgrade { now, node, line });
-    }
-    fn mshr_alloc(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.push(TraceCall::MshrAlloc { now, node, line });
-    }
-    fn mshr_free(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.push(TraceCall::MshrFree { now, node, line });
+    fn wants_access(&self) -> bool {
+        self.access
     }
 }
 
@@ -296,7 +123,7 @@ pub(crate) struct NodePart {
     pub queue_pushed: u64,
     pub queue_high_water: usize,
     pub queue_heap_pushes: u64,
-    pub records: Vec<NodeRec>,
+    pub records: Vec<(Cycle, NodeRec)>,
 }
 
 /// Per-worker host-profiling state ([`crate::telemetry`]): wall-clock
@@ -496,13 +323,14 @@ fn merge_sample(cycle: u64, slots: &[Mutex<Option<SamplePart>>]) -> IntervalSamp
 /// returns results bit-identical for every thread count (see the module
 /// docs for why). Called by the runner when `spec.threads >= 1`; `cfg`
 /// and `ntasks` are the resolved machine description and task count.
+/// `observer` sees the merged observation stream and is handed back.
 pub(crate) fn run_pdes(
     workload: &dyn Workload,
     spec: &RunSpec,
     cfg: MachineConfig,
     ntasks: usize,
-    extra_tracer: Option<Box<dyn MemTracer>>,
-) -> (RunResult, Option<TraceData>, Option<HostProfileData>) {
+    mut observer: Option<Box<dyn MemObserver>>,
+) -> (RunOutput, Option<Box<dyn MemObserver>>) {
     let nodes = cfg.nodes as usize;
     assert!(cfg.lat.net >= 1, "parallel execution needs a positive network latency for lookahead");
     // The epoch window: at most the lookahead (network traversal), at
@@ -511,8 +339,9 @@ pub(crate) fn run_pdes(
     let w = spec.epoch_window.unwrap_or(cfg.lat.net).clamp(1, cfg.lat.net);
     let k = (spec.threads as usize).min(nodes).max(1);
     let interval = if spec.trace.enabled() { spec.trace.interval } else { 0 };
-    let want_records = spec.trace.enabled() || extra_tracer.is_some();
-    let capture_access = spec.trace.enabled();
+    let want_records = spec.trace.enabled() || observer.is_some();
+    let capture_access =
+        spec.trace.enabled() || observer.as_ref().is_some_and(|o| o.wants_access());
 
     let profiling = spec.host.is_on();
 
@@ -549,8 +378,10 @@ pub(crate) fn run_pdes(
                     let mut prof = profiling.then(|| Box::new(WorkerProf::new()));
                     let mut machines = build_node_machines(workload, spec, cfg, ntasks, lo, hi);
                     for m in machines.iter_mut() {
-                        let sink = want_records.then(|| Rc::new(RefCell::new(Vec::new())));
-                        m.pdes_start(sink, capture_access);
+                        m.pdes_start(want_records.then(|| NodeCapture {
+                            records: Vec::new(),
+                            access: capture_access,
+                        }));
                     }
                     if let Some(p) = prof.as_mut() {
                         let now = Instant::now();
@@ -726,35 +557,31 @@ pub(crate) fn run_pdes(
         // K-invariant, so the merged stream is too.
         let mut order: Vec<(u64, u16, u32)> = Vec::new();
         for (node, p) in parts.iter().enumerate() {
-            for (idx, rec) in p.records.iter().enumerate() {
-                order.push((rec.at().raw(), node as u16, idx as u32));
+            for (idx, (at, _)) in p.records.iter().enumerate() {
+                order.push((at.raw(), node as u16, idx as u32));
             }
         }
         order.sort_unstable();
-        let (ts, mut rec) = match spec.trace.enabled().then(|| TraceState::new(spec.trace)) {
-            Some((ts, rec)) => (Some(ts), Some(rec)),
-            None => (None, None),
-        };
-        let mut extra = extra_tracer;
+        let mut tracing = spec.trace.enabled().then(|| TraceState::new(spec.trace));
         for &(_, node, idx) in &order {
-            match &parts[node as usize].records[idx as usize] {
-                NodeRec::Mem(call) => {
-                    if let Some(r) = rec.as_mut() {
-                        call.apply(r);
+            let (at, rec) = &parts[node as usize].records[idx as usize];
+            match rec {
+                NodeRec::Mem(ev) => {
+                    if let Some((_, r)) = tracing.as_mut() {
+                        r.observe(*at, ev);
                     }
-                    if let Some(e) = extra.as_mut() {
-                        call.apply(e.as_mut());
+                    if let Some(o) = observer.as_mut() {
+                        o.observe(*at, ev);
                     }
                 }
-                NodeRec::Machine(t, kind) => {
-                    if let Some(ts) = ts.as_ref() {
-                        ts.buf.borrow_mut().push(*t, kind.clone());
+                NodeRec::Machine(kind) => {
+                    if let Some((_, r)) = tracing.as_mut() {
+                        r.buf.push(*at, kind.clone());
                     }
                 }
             }
         }
-        drop(rec);
-        if let Some(ts) = ts {
+        if let Some((ts, rec)) = tracing {
             if ts.cfg.interval > 0 {
                 // Closing sample at the end of the run, as in the serial
                 // teardown: the final cumulative state.
@@ -776,12 +603,9 @@ pub(crate) fn run_pdes(
                     recoveries,
                 });
             }
-            let buf = Rc::try_unwrap(ts.buf)
-                .expect("trace buffer uniquely owned once the recorder is dropped")
-                .into_inner();
             trace = Some(TraceData::assemble(
                 ts.cfg,
-                buf,
+                rec.buf,
                 samples,
                 queue_pushed,
                 queue_high_water,
@@ -841,5 +665,5 @@ pub(crate) fn run_pdes(
         recoveries,
         host_events,
     };
-    (result, trace, profile)
+    (RunOutput { result, trace, profile }, observer)
 }

@@ -1,6 +1,8 @@
+use std::any::Any;
+
 use slipstream_kernel::config::{DirScheme, ExecMode, MachineConfig, SlipstreamConfig};
 use slipstream_kernel::{CpuId, NodeId, TaskId};
-use slipstream_mem::{HomeMap, MemSystem, StreamRole};
+use slipstream_mem::{HomeMap, MemObserver, MemSystem, StreamRole};
 use slipstream_prog::{InstanceId, Layout};
 
 use crate::machine::Machine;
@@ -147,29 +149,7 @@ impl RunSpec {
 /// Panics on deadlock or a protocol invariant violation (these are bugs,
 /// not measurements).
 pub fn run(workload: &dyn Workload, spec: &RunSpec) -> RunResult {
-    run_traced(workload, spec).0
-}
-
-/// Like [`run`], but also returns the collected [`TraceData`] when
-/// `spec.trace` enables any collection (`None` otherwise). The
-/// [`RunResult`] is bit-identical either way: tracing only observes.
-pub fn run_traced(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, Option<TraceData>) {
-    let out = run_inner(workload, spec, None);
-    (out.result, out.trace)
-}
-
-/// Like [`run`], but installs `tracer` as an additional [`MemTracer`] for
-/// the duration of the run (fanned out with the trace recorder when
-/// `spec.trace` is also enabled). Tracers observe only, so the
-/// [`RunResult`] is bit-identical to an untraced run; the caller keeps
-/// whatever shared handle its tracer exposes (e.g. an `Rc` into collected
-/// state) and inspects it after the run returns.
-pub fn run_with_tracer(
-    workload: &dyn Workload,
-    spec: &RunSpec,
-    tracer: Box<dyn slipstream_mem::MemTracer>,
-) -> RunResult {
-    run_inner(workload, spec, Some(tracer)).result
+    run_inner(workload, spec, None).0.result
 }
 
 /// Everything one run can produce: the measurements, the optional trace,
@@ -190,25 +170,30 @@ pub struct RunOutput {
 /// Runs `workload` under `spec` and returns measurements, trace, and
 /// host profile together (see [`RunOutput`]).
 pub fn run_full(workload: &dyn Workload, spec: &RunSpec) -> RunOutput {
-    run_inner(workload, spec, None)
+    run_inner(workload, spec, None).0
 }
 
-/// [`run_full`] with an additional caller-supplied [`MemTracer`] attached
-/// for the duration of the run (the combination the protocol checker
-/// needs to observe a profiled run).
-pub fn run_full_with_tracer(
+/// [`run_full`] with `obs` attached to the memory system for the
+/// duration of the run, then handed back with everything it observed.
+/// Observers only observe, so the [`RunResult`] is bit-identical to an
+/// unobserved run. Every engine delivers the same event stream: the
+/// parallel engine replays its merged per-node capture through
+/// [`MemObserver::observe`] after the run.
+pub fn run_observed<O: MemObserver>(
     workload: &dyn Workload,
     spec: &RunSpec,
-    tracer: Box<dyn slipstream_mem::MemTracer>,
-) -> RunOutput {
-    run_inner(workload, spec, Some(tracer))
+    obs: O,
+) -> (RunOutput, O) {
+    let (out, obs) = run_inner(workload, spec, Some(Box::new(obs)));
+    let obs: Box<dyn Any> = obs.expect("the run hands its observer back");
+    (out, *obs.downcast::<O>().expect("the observer keeps its type"))
 }
 
 fn run_inner(
     workload: &dyn Workload,
     spec: &RunSpec,
-    extra_tracer: Option<Box<dyn slipstream_mem::MemTracer>>,
-) -> RunOutput {
+    observer: Option<Box<dyn MemObserver>>,
+) -> (RunOutput, Option<Box<dyn MemObserver>>) {
     let mut cfg = spec.machine.clone().unwrap_or_else(|| {
         if workload.small_l2() {
             MachineConfig::water(spec.nodes)
@@ -225,12 +210,11 @@ fn run_inner(
         ExecMode::Double => spec.nodes as usize * 2,
     };
     if spec.threads >= 1 {
-        let (result, trace, mut profile) =
-            crate::pdes::run_pdes(workload, spec, cfg, ntasks, extra_tracer);
-        if let Some(p) = profile.as_mut() {
-            p.fill_resources(&result);
+        let (mut out, observer) = crate::pdes::run_pdes(workload, spec, cfg, ntasks, observer);
+        if let Some(p) = out.profile.as_mut() {
+            p.fill_resources(&out.result);
         }
-        return RunOutput { result, trace, profile };
+        return (out, observer);
     }
     // Build-phase wall clock, measured only on profiled runs.
     let build_started = spec.host.is_on().then(std::time::Instant::now);
@@ -322,7 +306,7 @@ fn run_inner(
         ntasks,
         spec.trace,
         spec.fastpath,
-        extra_tracer,
+        observer,
     );
     if spec.host.is_on() {
         machine.enable_host_profile(crate::telemetry::Heartbeat::new(
@@ -333,8 +317,9 @@ fn run_inner(
     }
     let build_s = build_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
     let sim_started = spec.host.is_on().then(std::time::Instant::now);
-    let (result, trace, host_queue) = machine.run_full();
-    let profile = host_queue.map(|queue| {
+    let (mut out, host_queue, observer) = machine.run_full();
+    let result = &out.result;
+    out.profile = host_queue.map(|queue| {
         let simulate_s = sim_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
         let simulate_ns = (simulate_s * 1e9) as u64;
         let mut p = HostProfileData {
@@ -356,10 +341,10 @@ fn run_inner(
             queue,
             resources: Vec::new(),
         };
-        p.fill_resources(&result);
+        p.fill_resources(result);
         p
     });
-    RunOutput { result, trace, profile }
+    (out, observer)
 }
 
 /// Runs the sequential baseline: the whole problem as one task on a

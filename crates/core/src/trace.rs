@@ -1,12 +1,12 @@
 //! Run-level observability: structured event traces, interval metrics, and
 //! hot-line profiling.
 //!
-//! The memory system exposes raw protocol observations through the
-//! [`MemTracer`] hook trait (in `slipstream-mem`); this module is the
-//! collector side. A [`Recorder`] installed into the memory system and the
-//! machine loop's own records (recoveries, session ends) feed a shared
-//! [`TraceBuffer`]; the machine additionally snapshots [`IntervalSample`]s
-//! at a configurable cycle interval. At the end of a run everything is
+//! The memory system exposes raw protocol observations as [`MemObs`]
+//! events (in `slipstream-mem`); this module is the collector side. A
+//! [`Recorder`] attached to the memory system turns them into records in
+//! its [`TraceBuffer`], next to the machine loop's own records
+//! (recoveries, session ends); the machine additionally snapshots
+//! [`IntervalSample`]s at a configurable cycle interval. At the end of a run everything is
 //! packaged into a [`TraceData`], which knows how to export itself as
 //!
 //! * JSONL event records ([`TraceData::events_jsonl`]),
@@ -16,7 +16,7 @@
 //! * a top-K hot-line text report ([`TraceData::hotline_report`]).
 //!
 //! Everything is gated by [`TraceConfig`]: with the default (disabled)
-//! config no buffer is allocated, no tracer is installed, and the
+//! config no buffer is allocated, no observer is attached, and the
 //! simulation path is identical to a build without this module. Tracing is
 //! purely observational — a traced run produces a bit-identical
 //! [`RunResult`] to an untraced one (asserted by the `accounting`
@@ -25,14 +25,12 @@
 //! All exports are hand-rolled JSON: the workspace deliberately has no
 //! serialization dependency, and the schemas are small and flat.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use slipstream_kernel::{CpuId, Cycle, FxHashMap, LineAddr, NodeId};
 use slipstream_mem::{
-    AccessKind, AccessOutcome, MemStats, MemTracer, StreamRole, SyncOp, TracePerm,
+    AccessKind, AccessOutcome, MemObs, MemObserver, MemStats, StreamRole, SyncOp, TracePerm,
 };
 use slipstream_prog::{BarrierId, EventId, LockId};
 
@@ -70,7 +68,7 @@ impl TraceConfig {
         TraceConfig { events: true, interval, hotlines: true, ..TraceConfig::default() }
     }
 
-    /// Whether any collection is requested (drives tracer installation).
+    /// Whether any collection is requested (attaches the recorder).
     pub fn enabled(&self) -> bool {
         self.events || self.interval > 0 || self.hotlines
     }
@@ -85,8 +83,8 @@ pub struct TraceRecord {
 }
 
 /// The typed event vocabulary. Protocol-level events come from the
-/// [`Recorder`]'s [`MemTracer`] hooks; `Recovery` and `SessionEnd` come
-/// from the machine loop.
+/// memory system's [`MemObs`] events via the [`Recorder`]; `Recovery` and
+/// `SessionEnd` come from the machine loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// An access missed the L2 and started (or merged into) a directory
@@ -162,10 +160,7 @@ impl LineCounters {
     }
 }
 
-/// The shared collection buffer. One lives behind an `Rc<RefCell<..>>`,
-/// cloned between the [`Recorder`] installed in the memory system and the
-/// machine loop (the simulation is single-threaded, so the `RefCell` is
-/// never contended).
+/// The collection buffer, owned by the [`Recorder`].
 #[derive(Debug)]
 pub struct TraceBuffer {
     events_on: bool,
@@ -215,128 +210,91 @@ impl TraceBuffer {
     }
 }
 
-/// The [`MemTracer`] implementation: forwards protocol observations into a
-/// shared [`TraceBuffer`].
-pub struct Recorder {
-    buf: Rc<RefCell<TraceBuffer>>,
+/// The trace collector: a [`MemObserver`] that turns memory-system
+/// observations into [`TraceBuffer`] records and counters. The machine
+/// loop adds its own records (recoveries, session ends) to the same
+/// buffer, so the two interleave in simulation order.
+pub(crate) struct Recorder {
+    pub(crate) buf: TraceBuffer,
 }
 
 impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Deliberately shallow: the buffer can hold a million records and
         // the Machine derives Debug through this type.
-        let b = self.buf.borrow();
-        write!(f, "Recorder({} records, {} dropped)", b.records.len(), b.dropped)
+        write!(f, "Recorder({} records, {} dropped)", self.buf.records.len(), self.buf.dropped)
     }
 }
 
-impl Recorder {
-    pub fn new(buf: Rc<RefCell<TraceBuffer>>) -> Recorder {
-        Recorder { buf }
-    }
-}
-
-impl MemTracer for Recorder {
-    fn access(
-        &mut self,
-        now: Cycle,
-        cpu: CpuId,
-        role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        outcome: AccessOutcome,
-    ) {
-        let mut b = self.buf.borrow_mut();
-        match outcome {
-            AccessOutcome::L1Hit => b.counts.l1_hits += 1,
-            AccessOutcome::L2Hit => b.counts.l2_hits += 1,
-            AccessOutcome::MissNew => b.counts.miss_new += 1,
-            AccessOutcome::MissMerged => b.counts.miss_merged += 1,
-            AccessOutcome::PrefetchIssued => b.counts.prefetch_issued += 1,
-            AccessOutcome::PrefetchDropped => b.counts.prefetch_dropped += 1,
-        }
-        let merged = match outcome {
-            AccessOutcome::MissNew => false,
-            AccessOutcome::MissMerged => true,
-            _ => return, // hits and prefetch decisions are counters only
+impl MemObserver for Recorder {
+    fn observe(&mut self, now: Cycle, ev: &MemObs) {
+        let b = &mut self.buf;
+        let kind = match *ev {
+            MemObs::Access { cpu, role, kind, line, outcome } => {
+                let c = &mut b.counts;
+                let counter = match outcome {
+                    AccessOutcome::L1Hit => &mut c.l1_hits,
+                    AccessOutcome::L2Hit => &mut c.l2_hits,
+                    AccessOutcome::MissNew => &mut c.miss_new,
+                    AccessOutcome::MissMerged => &mut c.miss_merged,
+                    AccessOutcome::PrefetchIssued => &mut c.prefetch_issued,
+                    AccessOutcome::PrefetchDropped => &mut c.prefetch_dropped,
+                };
+                *counter += 1;
+                let merged = match outcome {
+                    AccessOutcome::MissNew => false,
+                    AccessOutcome::MissMerged => true,
+                    _ => return, // hits and prefetch decisions are counters only
+                };
+                if let Some(h) = b.hot_line(line) {
+                    h.misses += 1;
+                }
+                TraceKind::MissStart { cpu, role, kind, line, merged }
+            }
+            MemObs::Fill { node, line, excl, transparent } => {
+                TraceKind::Fill { node, line, excl, transparent }
+            }
+            MemObs::DirTransition { line, ref from, ref to, requester } => {
+                TraceKind::DirTransition { line, from: from.clone(), to: to.clone(), requester }
+            }
+            MemObs::Intervention { line, owner, requester, excl } => {
+                if let Some(h) = b.hot_line(line) {
+                    h.interventions += 1;
+                }
+                TraceKind::Intervention { line, owner, requester, excl }
+            }
+            MemObs::Invalidation { line, target } => {
+                if let Some(h) = b.hot_line(line) {
+                    h.invalidations += 1;
+                }
+                TraceKind::Invalidation { line, target }
+            }
+            MemObs::SiHint { line, owner } => {
+                if let Some(h) = b.hot_line(line) {
+                    h.si += 1;
+                }
+                TraceKind::SiHint { line, owner }
+            }
+            MemObs::SiAction { node, line, invalidated } => {
+                if let Some(h) = b.hot_line(line) {
+                    h.si += 1;
+                }
+                TraceKind::SiAction { node, line, invalidated }
+            }
+            MemObs::TransparentUpgrade { line, from } => {
+                TraceKind::TransparentUpgrade { line, from }
+            }
+            MemObs::TransparentReply { line, from } => TraceKind::TransparentReply { line, from },
+            MemObs::Writeback { line, from } => TraceKind::Writeback { line, from },
+            MemObs::Sync { cpu, op, granted } => TraceKind::Sync { cpu, op, granted },
+            // Cache-internal bookkeeping is not part of the record schema.
+            MemObs::L2Evict { .. }
+            | MemObs::L2Invalidate { .. }
+            | MemObs::L2Downgrade { .. }
+            | MemObs::MshrAlloc { .. }
+            | MemObs::MshrFree { .. } => return,
         };
-        if let Some(h) = b.hot_line(line) {
-            h.misses += 1;
-        }
-        b.push(now, TraceKind::MissStart { cpu, role, kind, line, merged });
-    }
-
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {
-        self.buf.borrow_mut().push(now, TraceKind::Fill { node, line, excl, transparent });
-    }
-
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-        self.buf.borrow_mut().push(
-            now,
-            TraceKind::DirTransition { line, from: from.clone(), to: to.clone(), requester },
-        );
-    }
-
-    fn intervention(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        owner: NodeId,
-        requester: NodeId,
-        excl: bool,
-    ) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.interventions += 1;
-        }
-        b.push(now, TraceKind::Intervention { line, owner, requester, excl });
-    }
-
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.invalidations += 1;
-        }
-        b.push(now, TraceKind::Invalidation { line, target });
-    }
-
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.si += 1;
-        }
-        b.push(now, TraceKind::SiHint { line, owner });
-    }
-
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, invalidated: bool) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.si += 1;
-        }
-        b.push(now, TraceKind::SiAction { node, line, invalidated });
-    }
-
-    fn transparent_upgrade(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::TransparentUpgrade { line, from });
-    }
-
-    fn transparent_reply(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::TransparentReply { line, from });
-    }
-
-    fn writeback(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::Writeback { line, from });
-    }
-
-    fn sync_event(&mut self, now: Cycle, cpu: CpuId, op: SyncOp, granted: u32) {
-        self.buf.borrow_mut().push(now, TraceKind::Sync { cpu, op, granted });
+        b.push(now, kind);
     }
 }
 
@@ -361,23 +319,23 @@ pub struct IntervalSample {
     pub recoveries: u64,
 }
 
-/// Live collection state carried by the machine during a traced run.
+/// Live collection state carried by the machine during a traced run;
+/// the records themselves live in the [`Recorder`] attached to the memory
+/// system.
 #[derive(Debug)]
 pub(crate) struct TraceState {
     pub(crate) cfg: TraceConfig,
-    pub(crate) buf: Rc<RefCell<TraceBuffer>>,
     pub(crate) next_sample: Cycle,
     pub(crate) samples: Vec<IntervalSample>,
 }
 
 impl TraceState {
-    /// Creates the state plus the [`Recorder`] to install into the memory
-    /// system (both share one buffer).
+    /// Creates the state plus the [`Recorder`] to attach to the memory
+    /// system.
     pub(crate) fn new(cfg: TraceConfig) -> (TraceState, Recorder) {
-        let buf = Rc::new(RefCell::new(TraceBuffer::new(&cfg)));
-        let recorder = Recorder::new(buf.clone());
+        let recorder = Recorder { buf: TraceBuffer::new(&cfg) };
         let first = if cfg.interval > 0 { Cycle(cfg.interval) } else { Cycle(u64::MAX) };
-        (TraceState { cfg, buf, next_sample: first, samples: Vec::new() }, recorder)
+        (TraceState { cfg, next_sample: first, samples: Vec::new() }, recorder)
     }
 }
 
@@ -978,14 +936,27 @@ mod tests {
     #[test]
     fn recorder_counts_accesses_and_profiles_lines() {
         let cfg = TraceConfig { events: true, hotlines: true, ..TraceConfig::default() };
-        let buf = Rc::new(RefCell::new(TraceBuffer::new(&cfg)));
-        let mut rec = Recorder::new(buf.clone());
+        let (_, mut rec) = TraceState::new(cfg);
         let cpu = CpuId::new(NodeId(1), 0);
-        rec.access(Cycle(5), cpu, StreamRole::R, AccessKind::Read, LineAddr(7), AccessOutcome::L1Hit);
-        rec.access(Cycle(6), cpu, StreamRole::R, AccessKind::Read, LineAddr(7), AccessOutcome::MissNew);
-        rec.access(Cycle(7), cpu, StreamRole::A, AccessKind::Read, LineAddr(7), AccessOutcome::MissMerged);
-        rec.intervention(Cycle(8), LineAddr(7), NodeId(0), NodeId(1), true);
-        let b = buf.borrow();
+        let access = |role, outcome| MemObs::Access {
+            cpu,
+            role,
+            kind: AccessKind::Read,
+            line: LineAddr(7),
+            outcome,
+        };
+        rec.observe(Cycle(5), &access(StreamRole::R, AccessOutcome::L1Hit));
+        rec.observe(Cycle(6), &access(StreamRole::R, AccessOutcome::MissNew));
+        rec.observe(Cycle(7), &access(StreamRole::A, AccessOutcome::MissMerged));
+        let intervention = MemObs::Intervention {
+            line: LineAddr(7),
+            owner: NodeId(0),
+            requester: NodeId(1),
+            excl: true,
+        };
+        rec.observe(Cycle(8), &intervention);
+        rec.observe(Cycle(9), &MemObs::MshrFree { node: NodeId(1), line: LineAddr(7) });
+        let b = &rec.buf;
         assert_eq!(b.counts.l1_hits, 1);
         assert_eq!(b.counts.miss_new, 1);
         assert_eq!(b.counts.miss_merged, 1);

@@ -6,15 +6,21 @@
 //! 2. `exec_cycles` is the max finish over non-A streams.
 //! 3. A traced run returns a bit-identical [`RunResult`] to an untraced
 //!    run — tracing is observation only.
-//! 4. The tracer's independently-collected access counters agree with the
-//!    memory system's own statistics.
+//! 4. The trace recorder's independently-collected access counters agree
+//!    with the memory system's own statistics.
 
 use slipstream_core::{
-    run, run_traced, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, StreamRole, TaskBuilderFn,
-    TraceConfig, Workload,
+    run, run_full, ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, StreamRole,
+    TaskBuilderFn, TraceConfig, TraceData, Workload,
 };
 use slipstream_kernel::Addr;
 use slipstream_prog::{BarrierId, Layout, LockId, Op, ProgBuilder};
+
+/// The result and trace of one run.
+fn traced_run(w: &dyn Workload, spec: &RunSpec) -> (RunResult, Option<TraceData>) {
+    let out = run_full(w, spec);
+    (out.result, out.trace)
+}
 
 /// A producer-consumer shift kernel with optional divergence (to force
 /// recoveries) and lock traffic — enough behaviours to exercise every
@@ -151,7 +157,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     ];
     for spec in specs {
         let untraced = run(&w, &spec);
-        let (traced, data) = run_traced(&w, &spec.clone().with_trace(TraceConfig::full(5_000)));
+        let (traced, data) = traced_run(&w, &spec.clone().with_trace(TraceConfig::full(5_000)));
         assert_eq!(untraced, traced, "tracing must not perturb the simulation ({})", spec.mode);
         let data = data.expect("trace enabled");
         assert!(!data.records.is_empty(), "a traced run produces events");
@@ -161,7 +167,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     let dev = Kernel { diverge: 2_000_000, ..Kernel::default() };
     let spec = RunSpec::new(2, ExecMode::Slipstream);
     let untraced = run(&dev, &spec);
-    let (traced, _) = run_traced(&dev, &spec.clone().with_trace(TraceConfig::full(5_000)));
+    let (traced, _) = traced_run(&dev, &spec.clone().with_trace(TraceConfig::full(5_000)));
     assert!(traced.recoveries > 0);
     assert_eq!(untraced, traced, "tracing must not perturb recoveries");
 }
@@ -172,9 +178,9 @@ fn tracer_counts_agree_with_mem_stats() {
     let spec = RunSpec::new(4, ExecMode::Slipstream)
         .with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal))
         .with_trace(TraceConfig::full(10_000));
-    let (r, data) = run_traced(&w, &spec);
+    let (r, data) = traced_run(&w, &spec);
     let c = data.expect("trace enabled").counts;
-    // The tracer counts at the access hook; the memory system counts in
+    // The recorder counts access events; the memory system counts in
     // its own bookkeeping. They must tell the same story.
     assert_eq!(c.l1_hits, r.mem.l1_hits);
     assert_eq!(c.l2_hits, r.mem.l2_hits);
@@ -191,7 +197,7 @@ fn interval_samples_cover_the_run() {
     let interval = 5_000u64;
     let spec = RunSpec::new(2, ExecMode::Slipstream)
         .with_trace(TraceConfig { interval, ..TraceConfig::default() });
-    let (r, data) = run_traced(&w, &spec);
+    let (r, data) = traced_run(&w, &spec);
     let data = data.expect("trace enabled");
     assert!(!data.samples.is_empty());
     // Samples are strictly increasing in time and cumulative counters are

@@ -48,4 +48,4 @@ pub use home::HomeMap;
 pub use msg::{AccessKind, Completion, MemEvent, Msg, StreamRole, SyncOp, Token};
 pub use stats::{ContentionStats, MemStats, ResourceUse};
 pub use system::{Access, MemSched, MemSystem};
-pub use trace::{AccessOutcome, FanoutTracer, MemTracer, TracePerm};
+pub use trace::{AccessOutcome, MemObs, MemObserver, TracePerm};

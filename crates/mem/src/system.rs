@@ -10,7 +10,7 @@ use crate::l2::{L2Cache, L2Line, L2State, Mshr, Waiter};
 use crate::msg::{AccessKind, Completion, MemEvent, Msg, MsgKind, StreamRole, SyncOp, Token};
 use crate::stats::MemStats;
 use crate::sync::{SyncCtl, SyncOutcome};
-use crate::trace::{AccessOutcome, MemTracer, TracePerm};
+use crate::trace::{AccessOutcome, MemObs, MemObserver, TracePerm};
 
 /// Where the memory system schedules its internal events.
 ///
@@ -86,9 +86,12 @@ pub struct MemSystem {
     stats: MemStats,
     next_token: u64,
     si_interval: u64,
-    /// Observability hook ([`MemTracer`]); `None` on the default path, so
-    /// tracing costs one branch per hook site when disabled.
-    tracer: Option<Box<dyn MemTracer>>,
+    /// Attached observers, called in attach order. Empty on the default
+    /// path, so observation costs one branch per hook site when off.
+    observers: Vec<Box<dyn MemObserver>>,
+    /// Whether [`MemObs::Access`] is built: some attached observer
+    /// [wants it](MemObserver::wants_access).
+    observe_access: bool,
 }
 
 /// Adds `from` to a shared line's sharer set under the configured
@@ -154,7 +157,8 @@ impl MemSystem {
             stats: MemStats::default(),
             next_token: 0,
             si_interval: 4,
-            tracer: None,
+            observers: Vec::new(),
+            observe_access: false,
         }
     }
 
@@ -195,7 +199,8 @@ impl MemSystem {
             stats: MemStats::default(),
             next_token: 0,
             si_interval: 4,
-            tracer: None,
+            observers: Vec::new(),
+            observe_access: false,
         }
     }
 
@@ -205,16 +210,41 @@ impl MemSystem {
         node.idx() - self.first_node
     }
 
-    /// Installs an observability hook. Tracers are purely observational —
-    /// see [`MemTracer`] — so installing one never changes simulated
-    /// behavior.
-    pub fn set_tracer(&mut self, tracer: Box<dyn MemTracer>) {
-        self.tracer = Some(tracer);
+    /// Attaches an observer after any already attached. Observers are
+    /// purely observational — see [`MemObserver`] — so attaching one never
+    /// changes simulated behavior.
+    pub fn attach_observer(&mut self, obs: Box<dyn MemObserver>) {
+        self.observe_access |= obs.wants_access();
+        self.observers.push(obs);
     }
 
-    /// Removes and returns the installed tracer, if any.
-    pub fn clear_tracer(&mut self) -> Option<Box<dyn MemTracer>> {
-        self.tracer.take()
+    /// Detaches and returns every observer, in attach order.
+    pub fn take_observers(&mut self) -> Vec<Box<dyn MemObserver>> {
+        self.observe_access = false;
+        std::mem::take(&mut self.observers)
+    }
+
+    /// The first attached observer of type `T`, if any.
+    pub fn observer_mut<T: MemObserver>(&mut self) -> Option<&mut T> {
+        self.observers.iter_mut().find_map(|o| {
+            let any: &mut dyn std::any::Any = o.as_mut();
+            any.downcast_mut::<T>()
+        })
+    }
+
+    /// Whether any observer is attached: the one branch a hook site pays.
+    #[inline]
+    pub fn observed(&self) -> bool {
+        !self.observers.is_empty()
+    }
+
+    /// Hands `ev` to every observer. Out of line, so the hook sites stay
+    /// small on the unobserved path.
+    #[inline(never)]
+    fn emit(&mut self, now: Cycle, ev: MemObs) {
+        for o in &mut self.observers {
+            o.observe(now, &ev);
+        }
     }
 
     #[inline]
@@ -227,8 +257,8 @@ impl MemSystem {
         line: LineAddr,
         outcome: AccessOutcome,
     ) {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.access(now, cpu, role, kind, line, outcome);
+        if self.observe_access {
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
         }
     }
 
@@ -413,10 +443,8 @@ impl MemSystem {
         }
         let outcome = if merged { AccessOutcome::MissMerged } else { AccessOutcome::MissNew };
         self.trace_access(now, cpu, role, kind, line, outcome);
-        if !merged {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_alloc(now, node_id, line);
-            }
+        if !merged && self.observed() {
+            self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         }
         if let Some(kind) = launch {
             self.issue_txn(now, node_id, line, kind, sched);
@@ -521,10 +549,8 @@ impl MemSystem {
         }
         let outcome = if merged { AccessOutcome::MissMerged } else { AccessOutcome::MissNew };
         self.trace_access(now, cpu, role, AccessKind::Write, line, outcome);
-        if !merged {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_alloc(now, node_id, line);
-            }
+        if !merged && self.observed() {
+            self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         }
         if let Some(kind) = launch {
             self.issue_txn(now, node_id, line, kind, sched);
@@ -584,8 +610,8 @@ impl MemSystem {
             line,
             AccessOutcome::PrefetchIssued,
         );
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.mshr_alloc(now, node_id, line);
+        if self.observed() {
+            self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         }
         self.issue_txn(
             now,
@@ -793,13 +819,13 @@ impl MemSystem {
                 let home = msg.dst;
                 match self.sync.handle(op, cpu, token) {
                     SyncOutcome::Queued => {
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.sync_event(now, cpu, op, 0);
+                        if self.observed() {
+                            self.emit(now, MemObs::Sync { cpu, op, granted: 0 });
                         }
                     }
                     SyncOutcome::Grant(grants) => {
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.sync_event(now, cpu, op, grants.len() as u32);
+                        if self.observed() {
+                            self.emit(now, MemObs::Sync { cpu, op, granted: grants.len() as u32 });
                         }
                         for (gcpu, gtoken) in grants {
                             let gm = Msg {
@@ -841,7 +867,7 @@ impl MemSystem {
         // Snapshot the pre-transition state only when someone is watching:
         // the clone is potentially allocating (spilled sharer sets), so the
         // default path must not pay for it.
-        let before = self.tracer.is_some().then(|| (dl.perm.clone(), dl.ovfl));
+        let before = self.observed().then(|| (dl.perm.clone(), dl.ovfl));
         // Dissolve the message so the kind can be matched by move (no
         // per-message clone on the directory hot path); src/dst stay
         // available for the one arm that re-queues the message.
@@ -873,8 +899,9 @@ impl MemSystem {
                         self.stats.interventions += 1;
                         let migratory_grant =
                             self.migratory_opt && dl.migratory() && !role.is_a();
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.intervention(now, line, owner, from, migratory_grant);
+                        if self.observed() {
+                            let (requester, excl) = (from, migratory_grant);
+                            self.emit(now, MemObs::Intervention { line, owner, requester, excl });
                         }
                         if migratory_grant {
                             // Migratory optimization: the reader will write
@@ -981,8 +1008,8 @@ impl MemSystem {
                                 if to == from {
                                     continue;
                                 }
-                                if let Some(t) = self.tracer.as_deref_mut() {
-                                    t.invalidation(now, line, to);
+                                if self.observed() {
+                                    self.emit(now, MemObs::Invalidation { line, target: to });
                                 }
                                 let inv =
                                     Msg { src: home, dst: to, kind: MsgKind::Inv { line, to } };
@@ -993,8 +1020,8 @@ impl MemSystem {
                                 if to == from {
                                     continue;
                                 }
-                                if let Some(t) = self.tracer.as_deref_mut() {
-                                    t.invalidation(now, line, to);
+                                if self.observed() {
+                                    self.emit(now, MemObs::Invalidation { line, target: to });
                                 }
                                 let inv =
                                     Msg { src: home, dst: to, kind: MsgKind::Inv { line, to } };
@@ -1010,8 +1037,9 @@ impl MemSystem {
                     Perm::Excl(owner) if *owner != from => {
                         let owner = *owner;
                         self.stats.interventions += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.intervention(now, line, owner, from, true);
+                        if self.observed() {
+                            let (requester, excl) = (from, true);
+                            self.emit(now, MemObs::Intervention { line, owner, requester, excl });
                         }
                         dl.busy = Some(PendingTxn {
                             requester: from,
@@ -1050,9 +1078,9 @@ impl MemSystem {
                         // not blocked and the sharing list is untouched.
                         self.stats.transparent_replies += 1;
                         self.stats.si_hints += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_reply(now, line, from);
-                            t.si_hint(now, line, owner);
+                        if self.observed() {
+                            self.emit(now, MemObs::TransparentReply { line, from });
+                            self.emit(now, MemObs::SiHint { line, owner });
                         }
                         let reply =
                             Msg { src: home, dst: from, kind: MsgKind::TransReply { line, to: from } };
@@ -1066,8 +1094,8 @@ impl MemSystem {
                         // Transparent request from the believed owner:
                         // upgrade to a normal exclusive re-grant.
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
+                        if self.observed() {
+                            self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
                         dl.busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, true, false);
@@ -1077,8 +1105,8 @@ impl MemSystem {
                     Perm::Uncached => {
                         // Upgraded to a normal (shared) load (§4.1).
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
+                        if self.observed() {
+                            self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
                         dl.perm = Perm::Shared(SharerSet::single(from));
                         dl.busy = Some(mem_wait(from, false));
@@ -1088,8 +1116,8 @@ impl MemSystem {
                     }
                     Perm::Shared(s) => {
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
+                        if self.observed() {
+                            self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
                         track_sharer(self.scheme, s, &mut dl.ovfl, from);
                         dl.busy = Some(mem_wait(from, false));
@@ -1101,8 +1129,8 @@ impl MemSystem {
             }
             MsgKind::WritebackDirty { from, .. } => {
                 self.stats.writebacks += 1;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.writeback(now, line, from);
+                if self.observed() {
+                    self.emit(now, MemObs::Writeback { line, from });
                 }
                 // The line's data is written to memory (consumes bank
                 // bandwidth even though nobody waits on it).
@@ -1222,9 +1250,7 @@ impl MemSystem {
             if dl.perm != perm_before || dl.ovfl != ovfl_before {
                 let from = trace_perm(&perm_before, ovfl_before);
                 let to = trace_perm(&dl.perm, dl.ovfl);
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.dir_transition(now, line, &from, &to, msg_src);
-                }
+                self.emit(now, MemObs::DirTransition { line, from, to, requester: msg_src });
             }
         }
         *self.dir.slot(line) = dl;
@@ -1353,8 +1379,8 @@ impl MemSystem {
             Some(m) => m,
             None => return, // stale reply; drop
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fill(now, node, line, excl, false);
+        if self.observed() {
+            self.emit(now, MemObs::Fill { node, line, excl, transparent: false });
         }
         // A coherent fill supersedes everything outstanding for the line,
         // including a transparent request the directory upgraded (its
@@ -1469,8 +1495,8 @@ impl MemSystem {
             self.nodes[n].l2.mshrs.insert(line, mshr);
         } else {
             debug_assert!(mshr.store_waiters.is_empty(), "store waiters dropped at fill");
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_free(now, node, line);
+            if self.observed() {
+                self.emit(now, MemObs::MshrFree { node, line });
             }
         }
     }
@@ -1490,8 +1516,8 @@ impl MemSystem {
             Some(m) => m,
             None => return,
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fill(now, node, line, false, true);
+        if self.observed() {
+            self.emit(now, MemObs::Fill { node, line, excl: false, transparent: true });
         }
         mshr.trans_pending = false;
         let resident = self.nodes[n].l2.get(line).is_some();
@@ -1523,8 +1549,8 @@ impl MemSystem {
                 mshr.waiters.is_empty() && mshr.store_waiters.is_empty(),
                 "coherent waiters dropped at transparent fill"
             );
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_free(now, node, line);
+            if self.observed() {
+                self.emit(now, MemObs::MshrFree { node, line });
             }
         }
     }
@@ -1561,8 +1587,9 @@ impl MemSystem {
         } else {
             MsgKind::ReplHint { line: entry.line, from: node }
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.l2_evict(now, node, entry.line, dirty_wb, entry.transparent);
+        if self.observed() {
+            let (line, transparent) = (entry.line, entry.transparent);
+            self.emit(now, MemObs::L2Evict { node, line, dirty: dirty_wb, transparent });
         }
         self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
     }
@@ -1581,8 +1608,8 @@ impl MemSystem {
             if let Some(op) = entry.open_excl.take() {
                 self.stats.class.close(false, op);
             }
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.l2_invalidate(now, node, line);
+            if self.observed() {
+                self.emit(now, MemObs::L2Invalidate { node, line });
             }
         }
     }
@@ -1619,10 +1646,8 @@ impl MemSystem {
             }
         };
         if have {
-            if was_excl {
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.l2_downgrade(now, node, line);
-                }
+            if was_excl && self.observed() {
+                self.emit(now, MemObs::L2Downgrade { node, line });
             }
             let data = Msg {
                 src: node,
@@ -1707,8 +1732,8 @@ impl MemSystem {
             };
             self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
             self.stats.si_invalidations += 1;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.si_action(now, node, line, true);
+            if self.observed() {
+                self.emit(now, MemObs::SiAction { node, line, invalidated: true });
             }
         } else {
             // Producer-consumer: write back and downgrade to shared.
@@ -1723,14 +1748,14 @@ impl MemSystem {
                     entry.si_flag = false;
                 }
             }
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.l2_downgrade(now, node, line);
+            if self.observed() {
+                self.emit(now, MemObs::L2Downgrade { node, line });
             }
             let kind = MsgKind::DowngradeWb { line, from: node };
             self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
             self.stats.si_downgrades += 1;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.si_action(now, node, line, false);
+            if self.observed() {
+                self.emit(now, MemObs::SiAction { node, line, invalidated: false });
             }
         }
         // Rate limit: one line per si_interval cycles.

@@ -1,17 +1,30 @@
-//! Observability hooks for the memory system.
+//! Observation of the memory system.
 //!
-//! [`MemTracer`] is the hook trait the machine loop (or a test) installs
-//! into [`crate::MemSystem`] via [`crate::MemSystem::set_tracer`]. Every
-//! method has an empty default body, so an implementor only overrides the
-//! events it cares about. With no tracer installed the memory system pays
-//! exactly one `Option` branch per hook site — no allocation, no virtual
-//! call — keeping the default simulation path unperturbed.
+//! Every protocol-level fact the memory system exposes is one [`MemObs`]
+//! event: an access and how it resolved, a fill, a directory transition,
+//! a coherence message, an SI hint or action, a transparent reply or
+//! upgrade, a writeback, a sync operation, an L2 eviction, invalidation or
+//! downgrade, and an MSHR allocation or retirement. A [`MemObserver`]
+//! attached with [`crate::MemSystem::attach_observer`] receives each event
+//! through its one required method, [`MemObserver::observe`], together
+//! with the cycle it happened at.
 //!
-//! The hooks are *observations*: they receive copies of protocol-level
-//! facts (cycle, line, nodes, roles) and must not feed anything back into
-//! the simulation. Determinism therefore holds by construction: a run with
-//! a tracer installed produces bit-identical results to a run without one,
+//! With no observer attached the memory system pays exactly one branch
+//! per hook site — the event is built only inside that branch, so the
+//! default simulation path allocates nothing and makes no virtual call.
+//! [`MemObs::Access`] fires once per processor access and dominates the
+//! event count; it is built only when some attached observer's
+//! [`MemObserver::wants_access`] returns true, and is then delivered to
+//! every observer.
+//!
+//! Observers only *observe*: they receive copies of protocol-level facts
+//! (cycle, line, nodes, roles) and cannot feed anything back into the
+//! simulation. Determinism therefore holds by construction: a run with
+//! observers attached produces bit-identical results to a run without,
 //! which `slipstream-core`'s accounting tests assert.
+
+use std::any::Any;
+use std::fmt::Debug;
 
 use slipstream_kernel::{CpuId, Cycle, LineAddr, NodeId, SharerSet};
 
@@ -37,8 +50,8 @@ pub enum AccessOutcome {
 }
 
 /// Snapshot of a directory entry's permission state, as exposed to
-/// tracers. Mirrors the (private) protocol state: uncached, shared with a
-/// node bit-vector, or exclusively owned.
+/// observers. Mirrors the (private) protocol state: uncached, shared with
+/// a node bit-vector, or exclusively owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TracePerm {
     /// No cached copies are registered.
@@ -59,195 +72,139 @@ pub enum TracePerm {
     },
 }
 
-/// Hook trait for observing the memory system. All methods default to
-/// no-ops; see the [module docs](self) for the contract.
-#[allow(unused_variables)]
-pub trait MemTracer: std::fmt::Debug {
+/// One observation of the memory system. The cycle it happened at is
+/// passed alongside (see [`MemObserver::observe`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MemObs {
     /// A processor-side data access was issued and resolved as `outcome`.
-    /// Called once per [`crate::MemSystem::access`] call.
-    fn access(
-        &mut self,
-        now: Cycle,
+    /// One per [`crate::MemSystem::access`] call, built only when an
+    /// observer [wants it](MemObserver::wants_access).
+    Access {
         cpu: CpuId,
         role: StreamRole,
         kind: AccessKind,
         line: LineAddr,
         outcome: AccessOutcome,
-    ) {
-    }
-
+    },
     /// A fill (coherent or transparent reply) landed in `node`'s L2,
     /// completing the line's outstanding waiters.
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {}
-
+    Fill { node: NodeId, line: LineAddr, excl: bool, transparent: bool },
     /// The home directory's permission state for `line` changed while
-    /// serving a message from `requester`. The snapshots are passed by
-    /// reference (sharer sets may own heap storage on >128-node machines);
-    /// a tracer that retains them clones.
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-    }
-
+    /// serving a message from `requester`.
+    DirTransition { line: LineAddr, from: TracePerm, to: TracePerm, requester: NodeId },
     /// The directory forwarded an intervention to the exclusive `owner` on
     /// behalf of `requester` (`excl` = ownership transfer vs. downgrade).
-    fn intervention(&mut self, now: Cycle, line: LineAddr, owner: NodeId, requester: NodeId, excl: bool) {}
-
+    Intervention { line: LineAddr, owner: NodeId, requester: NodeId, excl: bool },
     /// The directory sent an invalidation for `line` to sharer `target`.
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {}
-
+    Invalidation { line: LineAddr, target: NodeId },
     /// A self-invalidation hint was sent to the exclusive `owner` (§4.2:
     /// a transparent load recorded a future sharer).
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {}
-
+    SiHint { line: LineAddr, owner: NodeId },
     /// `node` processed a flagged line at a sync point: invalidated it
     /// (migratory policy) if `invalidated`, else wrote back and downgraded
     /// (producer-consumer policy).
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, invalidated: bool) {}
-
+    SiAction { node: NodeId, line: LineAddr, invalidated: bool },
     /// A transparent load was upgraded to a normal load at the directory.
-    fn transparent_upgrade(&mut self, now: Cycle, line: LineAddr, from: NodeId) {}
-
+    TransparentUpgrade { line: LineAddr, from: NodeId },
     /// A transparent load was answered with a (possibly stale) memory copy.
-    fn transparent_reply(&mut self, now: Cycle, line: LineAddr, from: NodeId) {}
-
+    TransparentReply { line: LineAddr, from: NodeId },
     /// A dirty writeback for `line` arrived at the home from `from`.
-    fn writeback(&mut self, now: Cycle, line: LineAddr, from: NodeId) {}
-
+    Writeback { line: LineAddr, from: NodeId },
     /// The sync controller handled `op` from `cpu`, releasing `granted`
     /// blocked processors (0 = the requester queued or nothing released).
-    fn sync_event(&mut self, now: Cycle, cpu: CpuId, op: SyncOp, granted: u32) {}
-
+    Sync { cpu: CpuId, op: SyncOp, granted: u32 },
     /// `node`'s L2 evicted `line` to make room for a fill. `dirty` is true
     /// when the eviction produced a dirty writeback (vs. a replacement
     /// hint); `transparent` marks an evicted transparent copy, which was
     /// never registered in the directory's sharing list.
-    fn l2_evict(&mut self, now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool) {
-    }
-
+    L2Evict { node: NodeId, line: LineAddr, dirty: bool, transparent: bool },
     /// `node`'s L2 dropped its copy of `line` in response to the protocol
-    /// (an invalidation, an ownership-transfer intervention, or a migratory
-    /// self-invalidation). Fires only when a copy was actually resident.
-    fn l2_invalidate(&mut self, now: Cycle, node: NodeId, line: LineAddr) {}
-
+    /// (an invalidation, an ownership-transfer intervention, or a
+    /// migratory self-invalidation). Only when a copy was resident.
+    L2Invalidate { node: NodeId, line: LineAddr },
     /// `node`'s L2 downgraded its exclusive copy of `line` to shared (a
     /// read intervention, or a producer-consumer self-invalidation
     /// writeback).
-    fn l2_downgrade(&mut self, now: Cycle, node: NodeId, line: LineAddr) {}
-
-    /// `node` opened a new MSHR for `line` (a fresh outstanding
-    /// transaction; merged requests reuse the existing MSHR and do not
-    /// fire this hook).
-    fn mshr_alloc(&mut self, now: Cycle, node: NodeId, line: LineAddr) {}
-
-    /// `node` retired the MSHR for `line`: every outstanding request the
-    /// MSHR tracked has been filled. Balanced against [`Self::mshr_alloc`]
-    /// (a fill that leaves a reply pending keeps the MSHR and fires
-    /// neither hook).
-    fn mshr_free(&mut self, now: Cycle, node: NodeId, line: LineAddr) {}
+    L2Downgrade { node: NodeId, line: LineAddr },
+    /// `node` opened a new MSHR for `line` (merged requests reuse the
+    /// existing MSHR and do not fire this event).
+    MshrAlloc { node: NodeId, line: LineAddr },
+    /// `node` retired the MSHR for `line`: every outstanding request it
+    /// tracked has been filled. Balanced against [`MemObs::MshrAlloc`].
+    MshrFree { node: NodeId, line: LineAddr },
 }
 
-/// Fans every hook out to a list of tracers, in order. Lets an
-/// observability recorder and an invariant checker observe the same run.
-#[derive(Debug, Default)]
-pub struct FanoutTracer {
-    tracers: Vec<Box<dyn MemTracer>>,
-}
+/// Receives the memory system's [`MemObs`] events. See the
+/// [module docs](self) for the contract.
+///
+/// `Any` lets a run hand an observer back to its caller by value after
+/// the memory system owned it as a `Box<dyn MemObserver>`.
+pub trait MemObserver: Any + Debug {
+    /// `ev` happened at cycle `at`.
+    fn observe(&mut self, at: Cycle, ev: &MemObs);
 
-impl FanoutTracer {
-    /// A fanout over `tracers` (called in the given order at every hook).
-    pub fn new(tracers: Vec<Box<dyn MemTracer>>) -> FanoutTracer {
-        FanoutTracer { tracers }
+    /// Whether this observer needs [`MemObs::Access`]. Returning false
+    /// promises to ignore it, letting the memory system (and the parallel
+    /// engine's per-node capture) skip building the hottest event when no
+    /// observer wants it.
+    fn wants_access(&self) -> bool {
+        true
     }
-}
-
-macro_rules! fanout {
-    ($($name:ident($($arg:ident: $ty:ty),*);)*) => {
-        impl MemTracer for FanoutTracer {
-            $(fn $name(&mut self, $($arg: $ty),*) {
-                for t in &mut self.tracers {
-                    t.$name($($arg),*);
-                }
-            })*
-        }
-    };
-}
-
-fanout! {
-    access(now: Cycle, cpu: CpuId, role: StreamRole, kind: AccessKind, line: LineAddr, outcome: AccessOutcome);
-    fill(now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool);
-    dir_transition(now: Cycle, line: LineAddr, from: &TracePerm, to: &TracePerm, requester: NodeId);
-    intervention(now: Cycle, line: LineAddr, owner: NodeId, requester: NodeId, excl: bool);
-    invalidation(now: Cycle, line: LineAddr, target: NodeId);
-    si_hint(now: Cycle, line: LineAddr, owner: NodeId);
-    si_action(now: Cycle, node: NodeId, line: LineAddr, invalidated: bool);
-    transparent_upgrade(now: Cycle, line: LineAddr, from: NodeId);
-    transparent_reply(now: Cycle, line: LineAddr, from: NodeId);
-    writeback(now: Cycle, line: LineAddr, from: NodeId);
-    sync_event(now: Cycle, cpu: CpuId, op: SyncOp, granted: u32);
-    l2_evict(now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool);
-    l2_invalidate(now: Cycle, node: NodeId, line: LineAddr);
-    l2_downgrade(now: Cycle, node: NodeId, line: LineAddr);
-    mshr_alloc(now: Cycle, node: NodeId, line: LineAddr);
-    mshr_free(now: Cycle, node: NodeId, line: LineAddr);
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use slipstream_kernel::config::MachineConfig;
+    use slipstream_kernel::{Addr, EventQueue};
+
     use super::*;
+    use crate::{HomeMap, MemEvent, MemSystem};
 
-    /// The default method bodies are callable no-ops, so a tracer can
-    /// override just one hook.
-    #[derive(Debug, Default)]
-    struct OnlyFills(u64);
+    type Seen = Rc<RefCell<Vec<(usize, Cycle, MemObs)>>>;
 
-    impl MemTracer for OnlyFills {
-        fn fill(&mut self, _: Cycle, _: NodeId, _: LineAddr, _: bool, _: bool) {
-            self.0 += 1;
+    /// Logs every event it sees, tagged with its attach position.
+    #[derive(Debug)]
+    struct Log(usize, Seen);
+
+    impl MemObserver for Log {
+        fn observe(&mut self, at: Cycle, ev: &MemObs) {
+            self.1.borrow_mut().push((self.0, at, ev.clone()));
         }
     }
 
     #[test]
-    fn default_hooks_are_noops() {
-        let mut t = OnlyFills::default();
-        t.access(
-            Cycle(1),
-            CpuId::new(NodeId(0), 0),
-            StreamRole::R,
-            AccessKind::Read,
-            LineAddr(3),
-            AccessOutcome::L1Hit,
-        );
-        t.dir_transition(
-            Cycle(1),
-            LineAddr(3),
-            &TracePerm::Uncached,
-            &TracePerm::Excl { owner: NodeId(1) },
-            NodeId(1),
-        );
-        t.fill(Cycle(2), NodeId(0), LineAddr(3), true, false);
-        t.l2_evict(Cycle(3), NodeId(0), LineAddr(3), true, false);
-        t.l2_invalidate(Cycle(3), NodeId(0), LineAddr(3));
-        t.l2_downgrade(Cycle(3), NodeId(0), LineAddr(3));
-        t.mshr_alloc(Cycle(3), NodeId(0), LineAddr(3));
-        t.mshr_free(Cycle(3), NodeId(0), LineAddr(3));
-        assert_eq!(t.0, 1);
-    }
-
-    #[test]
-    fn fanout_forwards_to_every_tracer_in_order() {
-        let mut f = FanoutTracer::new(vec![
-            Box::new(OnlyFills::default()),
-            Box::new(OnlyFills::default()),
-        ]);
-        f.fill(Cycle(2), NodeId(0), LineAddr(3), true, false);
-        f.mshr_free(Cycle(3), NodeId(0), LineAddr(3));
-        let counts: Vec<String> = f.tracers.iter().map(|t| format!("{t:?}")).collect();
-        assert_eq!(counts, ["OnlyFills(1)", "OnlyFills(1)"]);
+    fn every_observer_sees_every_event_in_attach_order() {
+        let cfg = MachineConfig::with_nodes(2);
+        let mut mem = MemSystem::new(&cfg, HomeMap::uniform(2, cfg.page_bytes), 2);
+        let seen: Seen = Rc::default();
+        mem.attach_observer(Box::new(Log(0, seen.clone())));
+        mem.attach_observer(Box::new(Log(1, seen.clone())));
+        // A write miss from node 1 to a line homed on node 0, driven to
+        // quiescence.
+        let mut q: EventQueue<MemEvent> = EventQueue::new();
+        let cpu = CpuId::new(NodeId(1), 0);
+        let (role, kind) = (StreamRole::Solo, AccessKind::Write);
+        mem.access(Cycle(1), cpu, role, kind, Addr(0), true, false, &mut q);
+        let mut done = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            mem.handle_event(t, ev, &mut q, &mut done);
+        }
+        let seen = seen.borrow();
+        // Observer 0 then observer 1, for every single event.
+        for pair in seen.chunks(2) {
+            assert_eq!((pair[0].0, pair[1].0), (0, 1), "{seen:?}");
+            assert_eq!((pair[0].1, &pair[0].2), (pair[1].1, &pair[1].2));
+        }
+        let events: Vec<&MemObs> = seen.iter().step_by(2).map(|(_, _, ev)| ev).collect();
+        assert!(matches!(events[0], MemObs::Access { outcome: AccessOutcome::MissNew, .. }));
+        assert!(matches!(events[1], MemObs::MshrAlloc { .. }));
+        assert!(events.iter().any(|ev| matches!(ev, MemObs::DirTransition { .. })));
+        assert!(events.iter().any(|ev| matches!(ev, MemObs::Fill { excl: true, .. })));
+        assert!(matches!(events.last(), Some(MemObs::MshrFree { .. })));
+        drop(seen);
+        assert_eq!(mem.take_observers().len(), 2);
     }
 }
