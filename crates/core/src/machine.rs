@@ -8,7 +8,7 @@ use slipstream_mem::{
 };
 use slipstream_prog::{Op, ProgramIter, Space};
 
-use crate::pdes::{NodeCapture, NodePart, NodeRec, SamplePart, WireMsg};
+use crate::pdes::{NodeCapture, NodeFault, NodePart, NodeRec, SamplePart, WireMsg};
 use crate::report::{RunResult, StreamReport};
 use crate::runner::RunOutput;
 use crate::stream::{BlockKind, PairState, StreamExec, StreamState};
@@ -513,8 +513,10 @@ impl Machine {
 
     /// Tears down a node machine after global termination: the same
     /// deadlock and quiescence checks as the serial loop, then this node's
-    /// share of the run results for the driver to merge.
-    pub(crate) fn pdes_finish(mut self) -> NodePart {
+    /// share of the run results for the driver to merge. A failed check is
+    /// handed to the driver, which sees every node's outcome before it
+    /// reports one.
+    pub(crate) fn pdes_finish(mut self) -> Result<NodePart, NodeFault> {
         if self.streams.iter().any(|s| s.state != StreamState::Done) {
             for (i, s) in self.streams.iter().enumerate() {
                 eprintln!(
@@ -525,17 +527,15 @@ impl Machine {
             if let Err(e) = self.mem.check_quiescent() {
                 eprintln!("memory system: {e}");
             }
-            panic!("deadlock: streams blocked with every queue and inbox drained");
+            return Err(NodeFault::Deadlock);
         }
-        self.mem
-            .check_quiescent()
-            .unwrap_or_else(|e| panic!("memory system not quiescent at end of run: {e}"));
+        self.mem.check_quiescent().map_err(NodeFault::NotQuiescent)?;
         self.mem.finalize();
         let records = self.mem.take_observers().pop().map_or_else(Vec::new, |c| {
             let c: Box<dyn Any> = c;
             c.downcast::<NodeCapture>().expect("node machines attach only the capture").records
         });
-        NodePart {
+        Ok(NodePart {
             streams: self.stream_reports(),
             pairs: self
                 .pairs
@@ -549,7 +549,7 @@ impl Machine {
             queue_high_water: self.q.high_water(),
             queue_heap_pushes: self.q.heap_pushes(),
             records,
-        }
+        })
     }
 
     // ------------------------------------------------------------------

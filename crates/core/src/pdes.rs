@@ -126,6 +126,17 @@ pub(crate) struct NodePart {
     pub records: Vec<(Cycle, NodeRec)>,
 }
 
+/// Why a node machine could not hand in its share of the results at
+/// global termination.
+#[derive(Debug)]
+pub(crate) enum NodeFault {
+    /// Some stream on the node is still blocked.
+    Deadlock,
+    /// Every stream finished but the node's memory system still has state
+    /// in flight.
+    NotQuiescent(String),
+}
+
 /// Per-worker host-profiling state ([`crate::telemetry`]): wall-clock
 /// busy/wait split, per-epoch event and outbox histograms, and
 /// queue-occupancy samples taken at merge barriers. Exists only when
@@ -360,155 +371,160 @@ pub(crate) fn run_pdes(
     let events_done = AtomicU64::new(0);
 
     type WorkerOut = (
-        Vec<(usize, NodePart)>,
+        Vec<(usize, Result<NodePart, NodeFault>)>,
         Option<Vec<IntervalSample>>,
         Option<Box<WorkerProf>>,
     );
     let sim_started = profiling.then(Instant::now);
-    let mut results: Vec<WorkerOut> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..k)
-            .map(|wi| {
-                let (barrier, mail, next_times, bound, done, sample_slots, events_done) =
-                    (&barrier, &mail, &next_times, &bound, &done, &sample_slots, &events_done);
-                let cfg = &cfg;
-                s.spawn(move || -> WorkerOut {
-                    let lo = nodes * wi / k;
-                    let hi = nodes * (wi + 1) / k;
-                    let mut prof = profiling.then(|| Box::new(WorkerProf::new()));
-                    let mut machines = build_node_machines(workload, spec, cfg, ntasks, lo, hi);
-                    for m in machines.iter_mut() {
-                        m.pdes_start(want_records.then(|| NodeCapture {
-                            records: Vec::new(),
-                            access: capture_access,
-                        }));
-                    }
-                    if let Some(p) = prof.as_mut() {
-                        let now = Instant::now();
-                        p.build_ns = now.duration_since(p.last).as_nanos() as u64;
-                        p.last = now;
-                    }
-                    // The leader drives the opt-in heartbeat from the
-                    // advance phase, off the shared progress counter.
-                    let mut heartbeat = (profiling && wi == 0)
-                        .then(|| {
-                            Heartbeat::new(
-                                workload.name(),
-                                spec.host.heartbeat_secs,
-                                spec.host.expected_events,
-                            )
-                        })
-                        .flatten();
-                    let mut send_seqs = vec![0u64; machines.len()];
-                    let mut outbox: Vec<WireMsg> = Vec::new();
-                    let mut arrivals: Vec<WireMsg> = Vec::new();
-                    let mut my_samples: Vec<IntervalSample> = Vec::new();
-                    let mut next_sample = if interval > 0 { interval } else { u64::MAX };
-                    let mut b = w;
-                    loop {
-                        // Run phase: advance every owned node to the bound,
-                        // posting diverted sends to the receivers' mailboxes.
-                        for (mi, m) in machines.iter_mut().enumerate() {
-                            m.pdes_run_until(Cycle(b), &mut outbox, &mut send_seqs[mi]);
-                            if let Some(p) = prof.as_mut() {
-                                p.stats.outbox_len.record(outbox.len() as u64);
-                            }
-                            for wmsg in outbox.drain(..) {
-                                mail[wmsg.msg.dst.idx()].lock().unwrap().push(wmsg);
-                            }
-                        }
-                        if let Some(p) = prof.as_mut() {
-                            let ev: u64 =
-                                machines.iter().map(|m| m.host_events_so_far()).sum();
-                            let delta = ev - p.prev_events;
-                            p.prev_events = ev;
-                            p.stats.events_per_epoch.record(delta);
-                            p.stats.epochs += 1;
-                            events_done.fetch_add(delta, Ordering::Relaxed);
-                            p.mark_busy();
-                        }
-                        barrier.wait();
-                        if let Some(p) = prof.as_mut() {
-                            p.mark_wait();
-                        }
-                        // Merge phase: fold arrivals into each owned node's
-                        // inbox and report the earliest remaining work time.
-                        let mut local_min = u64::MAX;
-                        for (mi, m) in machines.iter_mut().enumerate() {
-                            let node = lo + mi;
-                            std::mem::swap(&mut *mail[node].lock().unwrap(), &mut arrivals);
-                            m.pdes_deliver(&mut arrivals);
-                            if let Some(t) = m.pdes_next_time() {
-                                local_min = local_min.min(t.raw());
-                            }
-                            if let Some(p) = prof.as_mut() {
-                                let (ring, heap) = m.queue_depths();
-                                p.ring.record(ring as u64);
-                                p.heap.record(heap as u64);
-                            }
-                            if interval > 0 {
-                                *sample_slots[node].lock().unwrap() = Some(m.pdes_sample_part());
-                            }
-                        }
-                        next_times[wi].store(local_min, Ordering::SeqCst);
-                        if let Some(p) = prof.as_mut() {
-                            p.mark_busy();
-                        }
-                        barrier.wait();
-                        // Advance phase: the leader opens the next epoch (or
-                        // declares termination) and emits any interval
-                        // samples whose boundary the run just passed.
-                        if wi == 0 {
-                            let min = next_times
-                                .iter()
-                                .map(|t| t.load(Ordering::SeqCst))
-                                .min()
-                                .expect("at least one worker");
-                            while next_sample < b {
-                                my_samples.push(merge_sample(next_sample, sample_slots));
-                                next_sample += interval;
-                            }
-                            if let Some(hb) = heartbeat.as_mut() {
-                                hb.maybe_beat(events_done.load(Ordering::Relaxed));
-                            }
-                            if min == u64::MAX {
-                                done.store(true, Ordering::SeqCst);
-                            } else {
-                                bound.store(min.saturating_add(w), Ordering::SeqCst);
-                            }
-                        }
-                        barrier.wait();
-                        if let Some(p) = prof.as_mut() {
-                            p.mark_wait();
-                        }
-                        if done.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        b = bound.load(Ordering::SeqCst);
-                    }
-                    if let Some(p) = prof.as_mut() {
-                        p.stats.events = p.prev_events;
-                    }
-                    let parts = machines
-                        .into_iter()
-                        .enumerate()
-                        .map(|(mi, m)| (lo + mi, m.pdes_finish()))
-                        .collect();
-                    (parts, (wi == 0).then_some(my_samples), prof)
-                })
+    // One worker's whole run: build its nodes' machines, step them epoch
+    // by epoch, and hand back their shares of the results. Called through
+    // `dyn` so the body is compiled once for both paths below.
+    let worker: &(dyn Fn(usize) -> WorkerOut + Sync) = &|wi: usize| -> WorkerOut {
+        let lo = nodes * wi / k;
+        let hi = nodes * (wi + 1) / k;
+        let mut prof = profiling.then(|| Box::new(WorkerProf::new()));
+        let mut machines = build_node_machines(workload, spec, &cfg, ntasks, lo, hi);
+        for m in machines.iter_mut() {
+            m.pdes_start(want_records.then(|| NodeCapture {
+                records: Vec::new(),
+                access: capture_access,
+            }));
+        }
+        if let Some(p) = prof.as_mut() {
+            let now = Instant::now();
+            p.build_ns = now.duration_since(p.last).as_nanos() as u64;
+            p.last = now;
+        }
+        // The leader drives the opt-in heartbeat from the
+        // advance phase, off the shared progress counter.
+        let mut heartbeat = (profiling && wi == 0)
+            .then(|| {
+                Heartbeat::new(
+                    workload.name(),
+                    spec.host.heartbeat_secs,
+                    spec.host.expected_events,
+                )
             })
-            .collect();
-        results = handles
+            .flatten();
+        let mut send_seqs = vec![0u64; machines.len()];
+        let mut outbox: Vec<WireMsg> = Vec::new();
+        let mut arrivals: Vec<WireMsg> = Vec::new();
+        let mut my_samples: Vec<IntervalSample> = Vec::new();
+        let mut next_sample = if interval > 0 { interval } else { u64::MAX };
+        let mut b = w;
+        loop {
+            // Run phase: advance every owned node to the bound,
+            // posting diverted sends to the receivers' mailboxes.
+            for (mi, m) in machines.iter_mut().enumerate() {
+                m.pdes_run_until(Cycle(b), &mut outbox, &mut send_seqs[mi]);
+                if let Some(p) = prof.as_mut() {
+                    p.stats.outbox_len.record(outbox.len() as u64);
+                }
+                for wmsg in outbox.drain(..) {
+                    mail[wmsg.msg.dst.idx()].lock().unwrap().push(wmsg);
+                }
+            }
+            if let Some(p) = prof.as_mut() {
+                let ev: u64 =
+                    machines.iter().map(|m| m.host_events_so_far()).sum();
+                let delta = ev - p.prev_events;
+                p.prev_events = ev;
+                p.stats.events_per_epoch.record(delta);
+                p.stats.epochs += 1;
+                events_done.fetch_add(delta, Ordering::Relaxed);
+                p.mark_busy();
+            }
+            barrier.wait();
+            if let Some(p) = prof.as_mut() {
+                p.mark_wait();
+            }
+            // Merge phase: fold arrivals into each owned node's
+            // inbox and report the earliest remaining work time.
+            let mut local_min = u64::MAX;
+            for (mi, m) in machines.iter_mut().enumerate() {
+                let node = lo + mi;
+                std::mem::swap(&mut *mail[node].lock().unwrap(), &mut arrivals);
+                m.pdes_deliver(&mut arrivals);
+                if let Some(t) = m.pdes_next_time() {
+                    local_min = local_min.min(t.raw());
+                }
+                if let Some(p) = prof.as_mut() {
+                    let (ring, heap) = m.queue_depths();
+                    p.ring.record(ring as u64);
+                    p.heap.record(heap as u64);
+                }
+                if interval > 0 {
+                    *sample_slots[node].lock().unwrap() = Some(m.pdes_sample_part());
+                }
+            }
+            next_times[wi].store(local_min, Ordering::SeqCst);
+            if let Some(p) = prof.as_mut() {
+                p.mark_busy();
+            }
+            barrier.wait();
+            // Advance phase: the leader opens the next epoch (or
+            // declares termination) and emits any interval
+            // samples whose boundary the run just passed.
+            if wi == 0 {
+                let min = next_times
+                    .iter()
+                    .map(|t| t.load(Ordering::SeqCst))
+                    .min()
+                    .expect("at least one worker");
+                while next_sample < b {
+                    my_samples.push(merge_sample(next_sample, &sample_slots));
+                    next_sample += interval;
+                }
+                if let Some(hb) = heartbeat.as_mut() {
+                    hb.maybe_beat(events_done.load(Ordering::Relaxed));
+                }
+                if min == u64::MAX {
+                    done.store(true, Ordering::SeqCst);
+                } else {
+                    bound.store(min.saturating_add(w), Ordering::SeqCst);
+                }
+            }
+            barrier.wait();
+            if let Some(p) = prof.as_mut() {
+                p.mark_wait();
+            }
+            if done.load(Ordering::SeqCst) {
+                break;
+            }
+            b = bound.load(Ordering::SeqCst);
+        }
+        if let Some(p) = prof.as_mut() {
+            p.stats.events = p.prev_events;
+        }
+        let parts = machines
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(e) => std::panic::resume_unwind(e),
-            })
+            .enumerate()
+            .map(|(mi, m)| (lo + mi, m.pdes_finish()))
             .collect();
-    });
+        (parts, (wi == 0).then_some(my_samples), prof)
+    };
+    // One worker runs on the caller's thread: no thread to spawn, and
+    // its heap comes from the caller's allocator arena. A panic (a
+    // deadlock report, say) unwinds straight to the caller either way.
+    let results: Vec<WorkerOut> = if k == 1 {
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..k)
+                .map(|wi| s.spawn(move || worker(wi)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(r) => r,
+                    Err(e) => std::panic::resume_unwind(e),
+                })
+                .collect()
+        })
+    };
     let simulate_s = sim_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
 
-    let mut slots: Vec<Option<NodePart>> = (0..nodes).map(|_| None).collect();
+    let mut slots: Vec<Option<Result<NodePart, NodeFault>>> = (0..nodes).map(|_| None).collect();
     let mut samples: Vec<IntervalSample> = Vec::new();
     let mut profs: Vec<Box<WorkerProf>> = Vec::new();
     for (list, s, p) in results {
@@ -522,8 +538,25 @@ pub(crate) fn run_pdes(
             profs.push(p);
         }
     }
-    let mut parts: Vec<NodePart> =
+    let finished: Vec<Result<NodePart, NodeFault>> =
         slots.into_iter().map(|p| p.expect("every node finished")).collect();
+    // A blocked stream on any node outranks another node's leftover state:
+    // a stream waiting on a sync object homed elsewhere also leaves that
+    // home's controller busy, and the serial loop reports such a run as a
+    // deadlock.
+    if finished.iter().any(|p| matches!(p, Err(NodeFault::Deadlock))) {
+        panic!("deadlock: streams blocked with every queue and inbox drained");
+    }
+    let mut parts: Vec<NodePart> = finished
+        .into_iter()
+        .map(|p| match p {
+            Ok(part) => part,
+            Err(NodeFault::NotQuiescent(e)) => {
+                panic!("memory system not quiescent at end of run: {e}")
+            }
+            Err(NodeFault::Deadlock) => unreachable!("reported above"),
+        })
+        .collect();
 
     // Merge per-node results in node order — which is exactly the serial
     // runner's stream construction order.

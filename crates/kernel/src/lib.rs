@@ -17,6 +17,9 @@
 //! * [`SplitMix64`] — a tiny deterministic RNG used by workload generators;
 //! * [`SharerSet`] — a compact, growable node bit-set used by the
 //!   directory protocol and its observers;
+//! * [`Slab`] — reusable `u32`-indexed slots with a LIFO free list, for
+//!   protocol state that exists only while a request is in flight (MSHRs,
+//!   directory transactions);
 //! * [`config`] — the machine description (Table 1 of the paper) and the
 //!   slipstream execution-mode knobs.
 //!
@@ -42,6 +45,7 @@ mod queue;
 mod rng;
 mod server;
 mod sharers;
+mod slab;
 mod smallvec;
 mod time;
 
@@ -51,5 +55,6 @@ pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use server::Server;
 pub use sharers::{SharerIter, SharerSet};
+pub use slab::Slab;
 pub use smallvec::InlineVec;
 pub use time::Cycle;

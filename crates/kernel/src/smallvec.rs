@@ -1,8 +1,8 @@
 //! An inline-capacity vector for the simulator's short hot-path lists.
 //!
-//! MSHR waiter lists almost always hold one or two entries (one R-stream
-//! plus at most its A-stream partner piling onto the same miss), yet the
-//! `Vec`-based representation heap-allocates for every miss. [`InlineVec`]
+//! An MSHR's waiter list almost always holds one or two entries (one
+//! R-stream plus at most its A-stream partner piling onto the same miss),
+//! yet a `Vec` heap-allocates for every miss. [`InlineVec`]
 //! stores up to `N` elements inline and only spills to a heap `Vec` beyond
 //! that, so the common case allocates nothing. No `unsafe` is used: inline
 //! slots are `Option<T>`, which for the simulator's small `Copy` waiter

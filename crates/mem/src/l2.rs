@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use slipstream_kernel::config::CacheGeometry;
-use slipstream_kernel::{CpuId, FxHashMap, InlineVec, LineAddr};
+use slipstream_kernel::{CpuId, FxHashMap, InlineVec, LineAddr, Slab};
 
 use crate::classify::OpenReq;
 use crate::msg::Token;
@@ -60,12 +60,31 @@ impl L2Line {
     }
 }
 
+/// What a requester blocked on a miss needs from the fill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WaiterKind {
+    /// An A-stream read: satisfied by a transparent or coherent fill.
+    ARead,
+    /// A coherent read: satisfied by any coherent fill.
+    Read,
+    /// A store: needs exclusive ownership. On a shared fill it triggers an
+    /// upgrade transaction.
+    Store,
+}
+
 /// Requester blocked on an outstanding miss.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Waiter {
     pub cpu: CpuId,
+    pub kind: WaiterKind,
     pub token: Token,
 }
+
+/// Inline waiter capacity of an [`Mshr`]. A miss almost always has one
+/// waiter, two when both streams of a pair (or both cores) pile onto it;
+/// a third appears only when a restarted A-stream re-requests a line its
+/// killed predecessor is still waiting on. More spill to the heap.
+const INLINE_WAITERS: usize = 3;
 
 /// A miss-status holding register: one per line with outstanding requests.
 /// Merging of the two processors' requests ("The shared L2 cache ...
@@ -79,25 +98,24 @@ pub(crate) struct Mshr {
     pub excl_pending: bool,
     /// A transparent read request is in flight.
     pub trans_pending: bool,
-    /// Waiters satisfied by any coherent fill. Almost always one entry
-    /// (occasionally two when both streams of a pair pile onto the same
-    /// miss), so the lists use inline storage and allocate nothing on the
-    /// common path.
-    pub waiters: InlineVec<Waiter, 2>,
-    /// A-stream waiters, satisfied by a transparent or coherent fill.
-    pub a_waiters: InlineVec<Waiter, 2>,
-    /// Store waiters: need exclusive ownership. On a shared fill these
-    /// trigger an upgrade transaction.
-    pub store_waiters: InlineVec<Waiter, 2>,
     /// Any queued store was inside a critical section.
     pub store_in_cs: bool,
+    /// The exclusive request was a non-binding prefetch only (no waiter
+    /// needs ownership).
+    pub excl_is_prefetch: bool,
     /// Classification for the in-flight read transaction.
     pub open_read: Option<OpenReq>,
     /// Classification for the in-flight exclusive transaction.
     pub open_excl: Option<OpenReq>,
-    /// The exclusive request was a non-binding prefetch only (no waiter
-    /// needs ownership).
-    pub excl_is_prefetch: bool,
+    /// Every blocked requester in arrival order, tagged by what it needs.
+    /// [`Mshr::take_waiters`] hands them out in wake order.
+    waiters: InlineVec<Waiter, INLINE_WAITERS>,
+}
+
+impl Default for Mshr {
+    fn default() -> Mshr {
+        Mshr::new()
+    }
 }
 
 impl Mshr {
@@ -106,19 +124,146 @@ impl Mshr {
             norm_pending: false,
             excl_pending: false,
             trans_pending: false,
-            waiters: InlineVec::new(),
-            a_waiters: InlineVec::new(),
-            store_waiters: InlineVec::new(),
             store_in_cs: false,
+            excl_is_prefetch: false,
             open_read: None,
             open_excl: None,
-            excl_is_prefetch: false,
+            waiters: InlineVec::new(),
         }
     }
 
     /// Whether any request is still in flight.
     pub(crate) fn pending(&self) -> bool {
         self.norm_pending || self.excl_pending || self.trans_pending
+    }
+
+    /// Queues a requester blocked on this miss.
+    pub(crate) fn push_waiter(&mut self, cpu: CpuId, kind: WaiterKind, token: Token) {
+        self.waiters.push(Waiter { cpu, kind, token });
+    }
+
+    /// Whether some queued requester is of `kind`.
+    pub(crate) fn has_waiter(&self, kind: WaiterKind) -> bool {
+        self.waiters.iter().any(|w| w.kind == kind)
+    }
+
+    /// Removes the waiters of the kinds `wake` selects and returns them in
+    /// wake order: A-stream reads, then coherent reads, then stores, each
+    /// kind in arrival order. A-stream reads go first because the A-stream
+    /// requested first whenever both merged (it runs ahead), and at equal
+    /// timestamps it must get to consume its A-R token before the
+    /// R-stream's deviation check runs. The rest stay queued.
+    pub(crate) fn take_waiters(
+        &mut self,
+        wake: impl Fn(WaiterKind) -> bool,
+    ) -> InlineVec<Waiter, INLINE_WAITERS> {
+        if self.waiters.len() <= 1 {
+            // The common case: nothing to order.
+            if self.waiters.iter().all(|w| wake(w.kind)) {
+                return std::mem::take(&mut self.waiters);
+            }
+            return InlineVec::new();
+        }
+        let mut woken = InlineVec::new();
+        let mut kept = InlineVec::new();
+        for kind in [WaiterKind::ARead, WaiterKind::Read, WaiterKind::Store] {
+            let into = if wake(kind) { &mut woken } else { &mut kept };
+            for w in self.waiters.iter().filter(|w| w.kind == kind) {
+                into.push(*w);
+            }
+        }
+        self.waiters = kept;
+        woken
+    }
+}
+
+/// The outstanding misses of one L2, indexed by line.
+///
+/// MSHRs live in a [`Slab`], and a hash index maps each line with an
+/// outstanding miss to its slot. The index holds 4-byte slot numbers, so
+/// it stays small however far A-stream prefetches run ahead, and the slab
+/// is never longer than the peak number of misses in flight. A fill works
+/// on its MSHR in place: it [detaches](MshrTable::detach) the line from
+/// the index, so the line has no MSHR while the fill inserts it into the
+/// cache (exactly as when fills removed the MSHR from a map), then either
+/// [re-attaches](MshrTable::attach) the slot or [frees](MshrTable::free)
+/// it. Nothing on this path allocates once the slab has grown to the peak.
+#[derive(Debug, Default)]
+pub(crate) struct MshrTable {
+    index: FxHashMap<LineAddr, u32>,
+    slab: Slab<Mshr>,
+}
+
+impl MshrTable {
+    /// Whether `line` has an outstanding miss. This is the L2's victim pin.
+    #[inline]
+    pub(crate) fn contains(&self, line: LineAddr) -> bool {
+        self.index.contains_key(&line)
+    }
+
+    /// The MSHR of `line`, if it has an outstanding miss.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, line: LineAddr) -> Option<&mut Mshr> {
+        let slot = *self.index.get(&line)?;
+        Some(&mut self.slab[slot])
+    }
+
+    /// Allocates an empty MSHR for `line`, which must have none.
+    pub(crate) fn insert(&mut self, line: LineAddr) -> &mut Mshr {
+        let slot = self.slab.alloc();
+        let prev = self.index.insert(line, slot);
+        debug_assert!(prev.is_none(), "second MSHR for line {line:?}");
+        let m = &mut self.slab[slot];
+        *m = Mshr::new();
+        m
+    }
+
+    /// Removes `line` from the index and returns its MSHR's slot, which
+    /// stays allocated until [`MshrTable::attach`] or
+    /// [`MshrTable::free`]. `None` if the line has no outstanding miss.
+    #[inline]
+    pub(crate) fn detach(&mut self, line: LineAddr) -> Option<u32> {
+        self.index.remove(&line)
+    }
+
+    /// Re-indexes a detached slot under `line`.
+    pub(crate) fn attach(&mut self, line: LineAddr, slot: u32) {
+        let prev = self.index.insert(line, slot);
+        debug_assert!(prev.is_none(), "second MSHR for line {line:?}");
+    }
+
+    /// Frees a detached slot.
+    pub(crate) fn free(&mut self, slot: u32) {
+        self.slab.free(slot);
+    }
+
+    /// The MSHR in `slot` (attached or detached).
+    #[inline]
+    pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut Mshr {
+        &mut self.slab[slot]
+    }
+
+    /// Number of outstanding misses.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no miss is outstanding.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Frees every MSHR and returns their classifications
+    /// `(open_read, open_excl)` in slot order, which depends only on the
+    /// order of allocations and frees, never on hashing.
+    pub(crate) fn drain_open(&mut self) -> Vec<(Option<OpenReq>, Option<OpenReq>)> {
+        let open: Vec<_> = self
+            .slab
+            .iter()
+            .map(|(_, m)| (m.open_read, m.open_excl))
+            .collect();
+        *self = MshrTable::default();
+        open
     }
 }
 
@@ -161,7 +306,7 @@ pub(crate) struct L2Cache {
     spilled: usize,
     ways: usize,
     set_mask: u64,
-    pub mshrs: FxHashMap<LineAddr, Mshr>,
+    pub mshrs: MshrTable,
     /// Lines flagged for self-invalidation, processed at sync points.
     pub si_queue: VecDeque<LineAddr>,
     /// An SI drain is currently scheduled.
@@ -192,7 +337,7 @@ impl L2Cache {
             spilled: 0,
             ways: geom.ways as usize,
             set_mask: sets as u64 - 1,
-            mshrs: FxHashMap::default(),
+            mshrs: MshrTable::default(),
             si_queue: VecDeque::new(),
             si_active: false,
             set_overflows: 0,
@@ -329,7 +474,7 @@ impl L2Cache {
         }
         if len >= ways {
             // Evict the least-recently-used line not pinned by an MSHR.
-            if let Some(pos) = set.iter().position(|l| !self.mshrs.contains_key(&l.line)) {
+            if let Some(pos) = set.iter().position(|l| !self.mshrs.contains(l.line)) {
                 set[pos..].rotate_left(1);
                 let victim = std::mem::replace(&mut set[len - 1], entry);
                 return (Some(L2Victim { entry: victim }), &mut self.chunks[c][base + len - 1]);
@@ -365,7 +510,7 @@ impl L2Cache {
         }
         let mut victim = None;
         if set.len() >= self.ways {
-            if let Some(pos) = set.iter().position(|l| !mshrs.contains_key(&l.line)) {
+            if let Some(pos) = set.iter().position(|l| !mshrs.contains(l.line)) {
                 victim = Some(L2Victim { entry: set.remove(pos) });
             } else {
                 self.set_overflows += 1;
@@ -456,6 +601,7 @@ impl L2Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::StreamRole;
 
     fn tiny() -> L2Cache {
         // 2 sets x 2 ways.
@@ -481,7 +627,7 @@ mod tests {
         c.insert(L2Line::new(LineAddr(0), L2State::Shared, true));
         c.insert(L2Line::new(LineAddr(2), L2State::Shared, true));
         // Pin the LRU line 0 with an MSHR (e.g. an upgrade in flight).
-        c.mshrs.insert(LineAddr(0), Mshr::new());
+        c.mshrs.insert(LineAddr(0));
         let (v, _) = c.insert(L2Line::new(LineAddr(4), L2State::Shared, true));
         assert_eq!(v.expect("evicts").entry.line, LineAddr(2));
         assert!(c.get(LineAddr(0)).is_some());
@@ -492,8 +638,8 @@ mod tests {
         let mut c = tiny();
         c.insert(L2Line::new(LineAddr(0), L2State::Shared, true));
         c.insert(L2Line::new(LineAddr(2), L2State::Shared, true));
-        c.mshrs.insert(LineAddr(0), Mshr::new());
-        c.mshrs.insert(LineAddr(2), Mshr::new());
+        c.mshrs.insert(LineAddr(0));
+        c.mshrs.insert(LineAddr(2));
         let (v, _) = c.insert(L2Line::new(LineAddr(4), L2State::Shared, true));
         assert!(v.is_none());
         assert_eq!(c.set_overflows, 1);
@@ -531,8 +677,8 @@ mod tests {
         let mut c = tiny();
         c.insert(L2Line::new(LineAddr(0), L2State::Shared, true));
         c.insert(L2Line::new(LineAddr(2), L2State::Shared, true));
-        c.mshrs.insert(LineAddr(0), Mshr::new());
-        c.mshrs.insert(LineAddr(2), Mshr::new());
+        c.mshrs.insert(LineAddr(0));
+        c.mshrs.insert(LineAddr(2));
         // All ways pinned: the set over-allocates (spills).
         c.insert(L2Line::new(LineAddr(4), L2State::Shared, true));
         assert_eq!(c.len(), 3);
@@ -547,7 +693,7 @@ mod tests {
         assert!(c.get(LineAddr(2)).is_some());
         // LRU order survived the round trip: line 2 is now LRU (0 was
         // touched above), so an unpinned insert evicts 2 first.
-        c.mshrs.clear();
+        c.mshrs.drain_open();
         let (v, _) = c.insert(L2Line::new(LineAddr(6), L2State::Shared, true));
         assert_eq!(v.expect("evicts").entry.line, LineAddr(2));
     }
@@ -557,8 +703,8 @@ mod tests {
         let mut c = tiny();
         c.insert(L2Line::new(LineAddr(0), L2State::Shared, true));
         c.insert(L2Line::new(LineAddr(2), L2State::Shared, true));
-        c.mshrs.insert(LineAddr(0), Mshr::new());
-        c.mshrs.insert(LineAddr(2), Mshr::new());
+        c.mshrs.insert(LineAddr(0));
+        c.mshrs.insert(LineAddr(2));
         c.insert(L2Line::new(LineAddr(4), L2State::Shared, true));
         c.insert(L2Line::new(LineAddr(1), L2State::Shared, true)); // set 1
         let mut lines: Vec<u64> = c.drain_all().into_iter().map(|l| l.line.0).collect();
@@ -626,8 +772,8 @@ mod tests {
         // Set 64 (chunk 1): fill both ways, pin them, over-allocate.
         c.insert(shared(64));
         c.insert(shared(192));
-        c.mshrs.insert(LineAddr(64), Mshr::new());
-        c.mshrs.insert(LineAddr(192), Mshr::new());
+        c.mshrs.insert(LineAddr(64));
+        c.mshrs.insert(LineAddr(192));
         c.insert(shared(320));
         assert_eq!(c.set_overflows, 1);
         assert_eq!(c.built_chunks(), 2);
@@ -636,12 +782,12 @@ mod tests {
         // Removing 320 unspills the set as 192, 64.
         assert!(c.remove(LineAddr(320)).is_some());
         assert!(!c.is_spilled(64));
-        c.mshrs.clear();
+        c.mshrs.drain_open();
         let (v, _) = c.insert(shared(448));
         assert_eq!(v.expect("evicts the LRU line").entry.line, LineAddr(192));
         // Spill set 64 again (64, 448 pinned) and drain with it spilled.
-        c.mshrs.insert(LineAddr(64), Mshr::new());
-        c.mshrs.insert(LineAddr(448), Mshr::new());
+        c.mshrs.insert(LineAddr(64));
+        c.mshrs.insert(LineAddr(448));
         c.insert(shared(576));
         assert!(c.is_spilled(64));
         c.touch(LineAddr(63));
@@ -666,8 +812,8 @@ mod tests {
         // Set 130 (chunk 2): both ways pinned, then an over-allocating fill.
         c.insert(shared(130));
         c.insert(shared(386));
-        c.mshrs.insert(LineAddr(130), Mshr::new());
-        c.mshrs.insert(LineAddr(386), Mshr::new());
+        c.mshrs.insert(LineAddr(130));
+        c.mshrs.insert(LineAddr(386));
         c.insert(shared(642));
         assert!(c.is_spilled(130));
         // Set 129 (chunk 2) is filled last but drains before set 130.
@@ -687,5 +833,160 @@ mod tests {
         assert!(!m.pending());
         m.trans_pending = true;
         assert!(m.pending());
+    }
+
+    /// The slab holds one `Mshr` per miss in flight at the peak, and the
+    /// index one `u32` per outstanding line.
+    #[test]
+    fn mshr_stays_within_128_bytes() {
+        assert!(std::mem::size_of::<Mshr>() <= 128, "{}", std::mem::size_of::<Mshr>());
+    }
+
+    fn cpu(core: u8) -> CpuId {
+        CpuId::new(slipstream_kernel::NodeId(0), core)
+    }
+
+    /// Waiters leave in wake order — A-stream reads, coherent reads,
+    /// stores, each in arrival order — and the rest stay queued, also past
+    /// the inline capacity.
+    #[test]
+    fn waiters_wake_by_kind_in_arrival_order() {
+        let mut m = Mshr::new();
+        let arrivals = [
+            (WaiterKind::Store, 1),
+            (WaiterKind::Read, 2),
+            (WaiterKind::ARead, 3),
+            (WaiterKind::Store, 4),
+            (WaiterKind::ARead, 5),
+            (WaiterKind::Read, 6),
+        ];
+        for (kind, t) in arrivals {
+            m.push_waiter(cpu(t as u8 % 2), kind, Token(t));
+        }
+        let tokens = |v: InlineVec<Waiter, INLINE_WAITERS>| -> Vec<u64> {
+            v.into_iter().map(|w| w.token.0).collect()
+        };
+        assert_eq!(tokens(m.take_waiters(|k| k != WaiterKind::Store)), vec![3, 5, 2, 6]);
+        assert!(m.has_waiter(WaiterKind::Store));
+        assert!(!m.has_waiter(WaiterKind::Read) && !m.has_waiter(WaiterKind::ARead));
+        assert_eq!(tokens(m.take_waiters(|_| true)), vec![1, 4]);
+        assert!(!m.has_waiter(WaiterKind::Store));
+        assert!(m.take_waiters(|_| true).is_empty());
+        // A lone waiter stays unless its kind is woken.
+        m.push_waiter(cpu(0), WaiterKind::Read, Token(7));
+        assert!(m.take_waiters(|k| k == WaiterKind::Store).is_empty());
+        assert_eq!(tokens(m.take_waiters(|k| k == WaiterKind::Read)), vec![7]);
+        assert!(!m.has_waiter(WaiterKind::Read));
+    }
+
+    #[test]
+    fn mshr_table_lookup_detach_attach_and_free() {
+        let mut t = MshrTable::default();
+        assert!(t.is_empty() && !t.contains(LineAddr(7)));
+        t.insert(LineAddr(7)).norm_pending = true;
+        assert!(t.contains(LineAddr(7)));
+        assert!(t.get_mut(LineAddr(7)).expect("outstanding").norm_pending);
+        // A detached MSHR is out of the index but keeps its contents.
+        let slot = t.detach(LineAddr(7)).expect("outstanding");
+        assert!(!t.contains(LineAddr(7)) && t.get_mut(LineAddr(7)).is_none());
+        assert!(t.slot_mut(slot).norm_pending);
+        t.attach(LineAddr(7), slot);
+        assert_eq!(t.len(), 1);
+        let slot = t.detach(LineAddr(7)).expect("outstanding");
+        t.free(slot);
+        assert!(t.is_empty() && t.get_mut(LineAddr(7)).is_none());
+        assert!(t.detach(LineAddr(7)).is_none());
+        // The freed slot is reused, reset.
+        assert!(!t.insert(LineAddr(9)).norm_pending);
+        assert_eq!(t.slab.slots(), 1);
+    }
+
+    #[test]
+    fn mshr_slots_are_reused_last_in_first_out() {
+        let mut t = MshrTable::default();
+        for line in [1, 2, 3] {
+            t.insert(LineAddr(line));
+        }
+        let s1 = t.detach(LineAddr(1)).expect("outstanding");
+        let s3 = t.detach(LineAddr(3)).expect("outstanding");
+        t.free(s1);
+        t.free(s3);
+        t.insert(LineAddr(4));
+        t.insert(LineAddr(5));
+        assert_eq!(t.detach(LineAddr(4)), Some(s3));
+        assert_eq!(t.detach(LineAddr(5)), Some(s1));
+        assert_eq!(t.slab.slots(), 3);
+    }
+
+    #[test]
+    fn mshr_slab_never_exceeds_the_peak_in_flight() {
+        let mut t = MshrTable::default();
+        let mut live: Vec<u64> = Vec::new();
+        let mut peak = 0;
+        for step in 0u64..300 {
+            if step % 3 == 2 || live.len() >= 8 {
+                let line = live.remove((step as usize * 7) % live.len());
+                let slot = t.detach(LineAddr(line)).expect("outstanding");
+                t.free(slot);
+            } else if !live.contains(&(step * 13 % 64)) {
+                t.insert(LineAddr(step * 13 % 64));
+                live.push(step * 13 % 64);
+            }
+            peak = peak.max(live.len());
+            assert_eq!(t.len(), live.len());
+            assert_eq!(t.slab.slots(), peak);
+        }
+    }
+
+    /// Outstanding classifications are handed back in slot order, which
+    /// follows allocations and frees, not the hash order of the lines.
+    #[test]
+    fn drain_open_is_in_slot_order() {
+        let mut t = MshrTable::default();
+        let issuers = [StreamRole::R, StreamRole::A, StreamRole::Solo];
+        for (line, issuer) in [900u64, 3, 41].into_iter().zip(issuers) {
+            t.insert(LineAddr(line)).open_read = Some(OpenReq::new(issuer));
+        }
+        // Free the middle slot and reuse it for an exclusive request.
+        let s = t.detach(LineAddr(3)).expect("outstanding");
+        t.free(s);
+        t.insert(LineAddr(12)).open_excl = Some(OpenReq::new(StreamRole::A));
+        let open: Vec<(Option<StreamRole>, Option<StreamRole>)> = t
+            .drain_open()
+            .into_iter()
+            .map(|(r, e)| (r.map(|o| o.issuer), e.map(|o| o.issuer)))
+            .collect();
+        assert_eq!(
+            open,
+            vec![
+                (Some(StreamRole::R), None),
+                (None, Some(StreamRole::A)),
+                (Some(StreamRole::Solo), None),
+            ]
+        );
+        assert!(t.is_empty() && t.slab.is_empty());
+    }
+
+    /// The victim pin answers from the index: a detached MSHR (a fill in
+    /// progress) pins nothing, an attached one pins its line, and the line
+    /// being filled is never a victim candidate.
+    #[test]
+    fn victim_pin_follows_the_index() {
+        let mut c = tiny();
+        c.insert(shared(0));
+        c.insert(shared(2));
+        // Line 4 is being filled: its MSHR is detached during the insert.
+        c.mshrs.insert(LineAddr(4));
+        let slot = c.mshrs.detach(LineAddr(4)).expect("outstanding");
+        assert!(!c.mshrs.contains(LineAddr(4)));
+        // Pin the LRU line 0; line 2 goes.
+        c.mshrs.insert(LineAddr(0));
+        let (v, _) = c.insert(shared(4));
+        assert_eq!(v.expect("evicts").entry.line, LineAddr(2));
+        c.mshrs.attach(LineAddr(4), slot);
+        // Both resident lines pinned now: the next fill over-allocates.
+        let (v, _) = c.insert(shared(6));
+        assert!(v.is_none());
+        assert_eq!(c.set_overflows, 1);
     }
 }

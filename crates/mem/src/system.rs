@@ -6,7 +6,7 @@ use crate::classify::OpenReq;
 use crate::directory::{DirLine, Directory, PendingTxn, Perm, WaitKind};
 use crate::home::HomeMap;
 use crate::l1::{L1Cache, L1State};
-use crate::l2::{L2Cache, L2Line, L2State, Mshr, Waiter};
+use crate::l2::{L2Cache, L2Line, L2State, Mshr, WaiterKind};
 use crate::msg::{AccessKind, Completion, MemEvent, Msg, MsgKind, StreamRole, SyncOp, Token};
 use crate::stats::MemStats;
 use crate::sync::{SyncCtl, SyncOutcome};
@@ -389,39 +389,31 @@ impl MemSystem {
         // Miss: merge into or create an MSHR.
         self.stats.l2_misses += 1;
         let token = self.token();
-        let waiter = Waiter { cpu, token };
+        // Any fill (transparent or coherent) satisfies an A read.
+        let wkind = if role.is_a() { WaiterKind::ARead } else { WaiterKind::Read };
         let node_id = cpu.node();
         let mut launch: Option<MsgKind> = None;
         let mut merged = false;
         {
             let mshrs = &mut self.nodes[n].l2.mshrs;
-            if let Some(mshr) = mshrs.get_mut(&line) {
+            if let Some(mshr) = mshrs.get_mut(line) {
                 self.stats.merged_misses += 1;
                 merged = true;
                 merge_classify(&mut self.stats, mshr, role);
-                if role.is_a() {
-                    // Any fill (transparent or coherent) satisfies an A read.
-                    mshr.a_waiters.push(waiter);
-                } else {
-                    mshr.waiters.push(waiter);
-                    if !mshr.norm_pending && !mshr.excl_pending {
-                        // Only a transparent request is in flight; an R read
-                        // needs a coherent copy, so launch a normal read.
-                        mshr.norm_pending = true;
-                        if shared && mshr.open_read.is_none() {
-                            mshr.open_read = Some(OpenReq::new(role));
-                        }
-                        self.stats.read_txns += 1;
-                        launch = Some(MsgKind::ReadReq { line, from: node_id, role });
+                mshr.push_waiter(cpu, wkind, token);
+                if !role.is_a() && !mshr.norm_pending && !mshr.excl_pending {
+                    // Only a transparent request is in flight; an R read
+                    // needs a coherent copy, so launch a normal read.
+                    mshr.norm_pending = true;
+                    if shared && mshr.open_read.is_none() {
+                        mshr.open_read = Some(OpenReq::new(role));
                     }
+                    self.stats.read_txns += 1;
+                    launch = Some(MsgKind::ReadReq { line, from: node_id, role });
                 }
             } else {
-                let mut mshr = Mshr::new();
-                if role.is_a() {
-                    mshr.a_waiters.push(waiter);
-                } else {
-                    mshr.waiters.push(waiter);
-                }
+                let mshr = mshrs.insert(line);
+                mshr.push_waiter(cpu, wkind, token);
                 self.stats.read_txns += 1;
                 if role.is_a() {
                     self.stats.a_read_txns += 1;
@@ -437,7 +429,6 @@ impl MemSystem {
                 if shared {
                     mshr.open_read = Some(OpenReq::new(role));
                 }
-                mshrs.insert(line, mshr);
                 launch = Some(kind);
             }
         }
@@ -472,7 +463,6 @@ impl MemSystem {
         }
         let node_id = cpu.node();
         let token = self.token();
-        let waiter = Waiter { cpu, token };
         // Resident and writable within the node?
         let mut grant = false;
         {
@@ -509,11 +499,11 @@ impl MemSystem {
         let mut merged = false;
         {
             let l2 = &mut self.nodes[n].l2;
-            if let Some(mshr) = l2.mshrs.get_mut(&line) {
+            if let Some(mshr) = l2.mshrs.get_mut(line) {
                 self.stats.merged_misses += 1;
                 merged = true;
                 merge_classify(&mut self.stats, mshr, role);
-                mshr.store_waiters.push(waiter);
+                mshr.push_waiter(cpu, WaiterKind::Store, token);
                 mshr.store_in_cs |= in_cs;
                 if !mshr.excl_pending && !mshr.norm_pending {
                     // Transparent-only in flight: launch the exclusive fetch.
@@ -535,14 +525,13 @@ impl MemSystem {
                 // Upgrade if we hold a coherent shared copy, else full
                 // read-exclusive.
                 let had_shared = l2.get(line).map(|e| !e.transparent).unwrap_or(false);
-                let mut mshr = Mshr::new();
+                let mshr = l2.mshrs.insert(line);
                 mshr.excl_pending = true;
-                mshr.store_waiters.push(waiter);
+                mshr.push_waiter(cpu, WaiterKind::Store, token);
                 mshr.store_in_cs = in_cs;
                 if shared {
                     mshr.open_excl = Some(OpenReq::new(role));
                 }
-                l2.mshrs.insert(line, mshr);
                 self.stats.excl_txns += 1;
                 launch = Some(MsgKind::ReadExclReq { line, from: node_id, role, had_shared });
             }
@@ -571,7 +560,7 @@ impl MemSystem {
         // is dropped (a request already in flight, or the line is owned).
         let issue: Option<bool> = {
             let l2 = &mut self.nodes[n].l2;
-            if l2.mshrs.contains_key(&line) {
+            if l2.mshrs.contains(line) {
                 None // something already in flight
             } else {
                 let had_shared = match l2.get(line) {
@@ -580,11 +569,10 @@ impl MemSystem {
                     None => Some(false),
                 };
                 if had_shared.is_some() {
-                    let mut mshr = Mshr::new();
+                    let mshr = l2.mshrs.insert(line);
                     mshr.excl_pending = true;
                     mshr.excl_is_prefetch = true;
                     mshr.open_excl = Some(OpenReq::new(StreamRole::A));
-                    l2.mshrs.insert(line, mshr);
                 }
                 had_shared
             }
@@ -855,14 +843,18 @@ impl MemSystem {
             msg.kind,
             MsgKind::ReadReq { .. } | MsgKind::ReadExclReq { .. } | MsgKind::TransReadReq { .. }
         );
-        let slot = self.dir.slot(line);
-        if slot.busy.is_some() && is_request {
-            slot.waiters.push_back(msg);
-            return;
-        }
-        // Work on an owned entry so the protocol below can call back into
-        // `self`; it goes back into its slot before any waiter is retried.
-        let mut dl = std::mem::take(slot);
+        let msg = if is_request {
+            match self.dir.defer_if_busy(line, msg) {
+                Some(msg) => msg,
+                None => return,
+            }
+        } else {
+            msg
+        };
+        // Work on the entry and its transaction outside the table so the
+        // protocol below can call back into `self`; both go back before
+        // any waiter is retried.
+        let (mut dl, mut busy) = self.dir.checkout(line);
         let mut retry = false;
         // Snapshot the pre-transition state only when someone is watching:
         // the clone is potentially allocating (spilled sharer sets), so the
@@ -882,14 +874,14 @@ impl MemSystem {
                         // MSI: reads are granted shared (the paper's
                         // "invalidate-based fully-mapped directory").
                         dl.perm = Perm::Shared(SharerSet::single(from));
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
                     }
                     Perm::Shared(s) => {
                         track_sharer(self.scheme, s, &mut dl.ovfl, from);
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -909,7 +901,7 @@ impl MemSystem {
                             // its upgrade.
                             self.stats.migratory_grants += 1;
                             dl.note_excl_handoff(from);
-                            dl.busy = Some(PendingTxn {
+                            busy = Some(PendingTxn {
                                 requester: from,
                                 excl: true,
                                 needs_data: true,
@@ -926,7 +918,7 @@ impl MemSystem {
                             };
                             self.route(now, fwd, sched);
                         } else {
-                            dl.busy = Some(PendingTxn {
+                            busy = Some(PendingTxn {
                                 requester: from,
                                 excl: false,
                                 needs_data: true,
@@ -951,7 +943,7 @@ impl MemSystem {
                         // this is a duplicate (e.g. a normal read racing a
                         // transparent request the directory upgraded to a
                         // MESI grant): re-grant exclusively from memory.
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, true, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -967,7 +959,7 @@ impl MemSystem {
                 match &mut dl.perm {
                     Perm::Uncached => {
                         dl.perm = Perm::Excl(from);
-                        dl.busy = Some(PendingTxn { si_hint, ..mem_wait(from, true) });
+                        busy = Some(PendingTxn { si_hint, ..mem_wait(from, true) });
                         let reply = data_reply(home, from, line, true, si_hint);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -990,7 +982,7 @@ impl MemSystem {
                         } else {
                             s.count_except(from)
                         };
-                        dl.busy = Some(PendingTxn {
+                        busy = Some(PendingTxn {
                             requester: from,
                             excl: true,
                             needs_data,
@@ -1041,7 +1033,7 @@ impl MemSystem {
                             let (requester, excl) = (from, true);
                             self.emit(now, MemObs::Intervention { line, owner, requester, excl });
                         }
-                        dl.busy = Some(PendingTxn {
+                        busy = Some(PendingTxn {
                             requester: from,
                             excl: true,
                             needs_data: true,
@@ -1061,7 +1053,7 @@ impl MemSystem {
                     Perm::Excl(_) => {
                         // Duplicate request from the believed owner (see
                         // the ReadReq arm): re-grant.
-                        dl.busy = Some(PendingTxn { si_hint, ..mem_wait(from, true) });
+                        busy = Some(PendingTxn { si_hint, ..mem_wait(from, true) });
                         let reply = data_reply(home, from, line, true, si_hint);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -1097,7 +1089,7 @@ impl MemSystem {
                         if self.observed() {
                             self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, true, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -1109,7 +1101,7 @@ impl MemSystem {
                             self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
                         dl.perm = Perm::Shared(SharerSet::single(from));
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -1120,7 +1112,7 @@ impl MemSystem {
                             self.emit(now, MemObs::TransparentUpgrade { line, from });
                         }
                         track_sharer(self.scheme, s, &mut dl.ovfl, from);
-                        dl.busy = Some(mem_wait(from, false));
+                        busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
                         let done = self.mem_access(home, now);
                         sched.sched(done, MemEvent::MemReady(reply));
@@ -1136,12 +1128,12 @@ impl MemSystem {
                 // bandwidth even though nobody waits on it).
                 self.mem_write(home, now);
                 dl.future.remove(from);
-                if let Some(p) = dl.busy.as_mut() {
+                if let Some(p) = busy.as_mut() {
                     p.wb_received = true;
                     if p.owner_gone {
                         {
                             let mem_done = self.mem_access(home, now);
-                            complete_from_memory(&mut dl, home, line, mem_done, sched);
+                            complete_from_memory(&mut dl, &mut busy, home, line, mem_done, sched);
                         }
                     }
                     // else: the intervention outcome resolves the txn.
@@ -1152,13 +1144,10 @@ impl MemSystem {
                 // Otherwise: stale writeback after ownership transfer; drop.
             }
             MsgKind::DowngradeWb { from, .. } => {
-                if dl.busy.is_some() {
+                if busy.is_some() {
                     // Let the in-flight transaction resolve first.
-                    dl.waiters.push_back(Msg {
-                        src: msg_src,
-                        dst: msg_dst,
-                        kind: MsgKind::DowngradeWb { line, from },
-                    });
+                    let kind = MsgKind::DowngradeWb { line, from };
+                    self.dir.defer(line, &mut dl, Msg { src: msg_src, dst: msg_dst, kind });
                 } else if dl.perm == Perm::Excl(from) {
                     self.mem_write(home, now);
                     dl.perm = Perm::Shared(SharerSet::single(from));
@@ -1179,9 +1168,9 @@ impl MemSystem {
                                 dl.perm = Perm::Uncached;
                             }
                         }
-                        retry = dl.busy.is_none();
+                        retry = busy.is_none();
                     }
-                    Perm::Excl(o) if *o == from && dl.busy.is_none() => {
+                    Perm::Excl(o) if *o == from && busy.is_none() => {
                         // Clean exclusive eviction. An owner that never
                         // wrote also disproves a migratory prediction.
                         dl.perm = Perm::Uncached;
@@ -1192,12 +1181,12 @@ impl MemSystem {
                         // Clean exclusive eviction racing an intervention:
                         // memory is current (the copy was clean), so this
                         // resolves the stalled transaction like a writeback.
-                        let p = dl.busy.as_mut().expect("checked busy above");
+                        let p = busy.as_mut().expect("checked busy above");
                         p.wb_received = true;
                         if p.owner_gone {
                             {
                             let mem_done = self.mem_access(home, now);
-                            complete_from_memory(&mut dl, home, line, mem_done, sched);
+                            complete_from_memory(&mut dl, &mut busy, home, line, mem_done, sched);
                         }
                         }
                     }
@@ -1205,14 +1194,14 @@ impl MemSystem {
                 }
             }
             MsgKind::WbShared { from, requester, .. } => {
-                let p = dl.busy.take().expect("WbShared without pending transaction");
+                let p = busy.take().expect("WbShared without pending transaction");
                 debug_assert!(!p.excl && p.wait == WaitKind::Owner);
                 debug_assert_eq!(p.requester, requester);
                 dl.perm = Perm::Shared(SharerSet::pair(from, requester));
                 retry = true;
             }
             MsgKind::TransferAck { new_owner, .. } => {
-                let p = dl.busy.take().expect("TransferAck without pending transaction");
+                let p = busy.take().expect("TransferAck without pending transaction");
                 debug_assert!(p.excl && p.wait == WaitKind::Owner);
                 debug_assert_eq!(p.requester, new_owner);
                 dl.perm = Perm::Excl(new_owner);
@@ -1220,7 +1209,7 @@ impl MemSystem {
             }
             MsgKind::InvAck { .. } => {
                 let mem_lat = self.lat.mem;
-                let p = dl.busy.as_mut().expect("InvAck without pending transaction");
+                let p = busy.as_mut().expect("InvAck without pending transaction");
                 debug_assert!(p.wait == WaitKind::Acks && p.acks_left > 0);
                 p.acks_left -= 1;
                 if p.acks_left == 0 {
@@ -1234,13 +1223,13 @@ impl MemSystem {
             }
             MsgKind::FwdNack { .. } => {
                 self.stats.intervention_nacks += 1;
-                let p = dl.busy.as_mut().expect("FwdNack without pending transaction");
+                let p = busy.as_mut().expect("FwdNack without pending transaction");
                 debug_assert!(p.wait == WaitKind::Owner);
                 p.owner_gone = true;
                 if p.wb_received {
                     {
                             let mem_done = self.mem_access(home, now);
-                            complete_from_memory(&mut dl, home, line, mem_done, sched);
+                            complete_from_memory(&mut dl, &mut busy, home, line, mem_done, sched);
                         }
                 }
             }
@@ -1253,7 +1242,7 @@ impl MemSystem {
                 self.emit(now, MemObs::DirTransition { line, from, to, requester: msg_src });
             }
         }
-        *self.dir.slot(line) = dl;
+        self.dir.checkin(line, dl, busy);
         if retry {
             self.retry_waiters(now, line, sched);
         }
@@ -1265,36 +1254,14 @@ impl MemSystem {
         let line = msg.kind.line().expect("MemReady carries a line");
         let is_data_reply = matches!(msg.kind, MsgKind::DataReply { .. });
         self.route(now, msg, sched);
-        if is_data_reply {
-            let mut retry = false;
-            if let Some(dl) = self.dir.get_mut(line) {
-                if matches!(dl.busy, Some(PendingTxn { wait: WaitKind::Mem, .. })) {
-                    dl.busy = None;
-                    retry = true;
-                }
-            }
-            if retry {
-                self.retry_waiters(now, line, sched);
-            }
+        if is_data_reply && self.dir.end_mem_wait(line) {
+            self.retry_waiters(now, line, sched);
         }
     }
 
     /// Re-dispatches deferred requests for `line` until one re-busies it.
     fn retry_waiters(&mut self, now: Cycle, line: LineAddr, sched: &mut impl MemSched) {
-        loop {
-            let next = {
-                let dl = match self.dir.get_mut(line) {
-                    Some(dl) => dl,
-                    None => return,
-                };
-                if dl.busy.is_some() {
-                    return;
-                }
-                match dl.waiters.pop_front() {
-                    Some(m) => m,
-                    None => return,
-                }
-            };
+        while let Some(next) = self.dir.next_deferred(line) {
             self.handle_dir(now, next, sched);
         }
     }
@@ -1375,23 +1342,29 @@ impl MemSystem {
         out: &mut Vec<Completion>,
     ) {
         let n = self.local(node);
-        let mut mshr = match self.nodes[n].l2.mshrs.remove(&line) {
-            Some(m) => m,
-            None => return, // stale reply; drop
+        let Some(slot) = self.nodes[n].l2.mshrs.detach(line) else {
+            return; // stale reply; drop
         };
         if self.observed() {
             self.emit(now, MemObs::Fill { node, line, excl, transparent: false });
         }
-        // A coherent fill supersedes everything outstanding for the line,
-        // including a transparent request the directory upgraded (its
-        // duplicate reply, if any, is dropped against the missing MSHR).
-        mshr.norm_pending = false;
-        mshr.trans_pending = false;
-        if excl {
-            mshr.excl_pending = false;
-        }
-        let shared_data = mshr.open_read.is_some()
-            || mshr.open_excl.is_some()
+        let (open_read, open_excl, mshr_shared, readers) = {
+            let mshr = self.nodes[n].l2.mshrs.slot_mut(slot);
+            // A coherent fill supersedes everything outstanding for the
+            // line, including a transparent request the directory upgraded
+            // (its duplicate reply, if any, is dropped against the missing
+            // MSHR).
+            mshr.norm_pending = false;
+            mshr.trans_pending = false;
+            if excl {
+                mshr.excl_pending = false;
+            }
+            let mshr_shared = mshr.open_read.is_some() || mshr.open_excl.is_some();
+            let open_excl = if excl { mshr.open_excl.take() } else { None };
+            let readers = mshr.take_waiters(|k| k != WaiterKind::Store);
+            (mshr.open_read.take(), open_excl, mshr_shared, readers)
+        };
+        let shared_data = mshr_shared
             || self.nodes[n].l2.get(line).map(|e| e.shared_data).unwrap_or(false);
 
         // Update or insert the line.
@@ -1404,24 +1377,20 @@ impl MemSystem {
                 entry.state = state;
                 entry.transparent = false;
                 entry.shared_data |= shared_data;
-                if let Some(op) = mshr.open_read.take() {
+                if let Some(op) = open_read {
                     if let Some(old) = entry.open_read.replace(op) {
                         self.stats.class.close(true, old);
                     }
                 }
-                if excl {
-                    if let Some(op) = mshr.open_excl.take() {
-                        if let Some(old) = entry.open_excl.replace(op) {
-                            self.stats.class.close(false, old);
-                        }
+                if let Some(op) = open_excl {
+                    if let Some(old) = entry.open_excl.replace(op) {
+                        self.stats.class.close(false, old);
                     }
                 }
             } else {
                 let mut entry = L2Line::new(line, state, shared_data);
-                entry.open_read = mshr.open_read.take();
-                if excl {
-                    entry.open_excl = mshr.open_excl.take();
-                }
+                entry.open_read = open_read;
+                entry.open_excl = open_excl;
                 let (v, _slot) = l2.insert(entry);
                 victim = v;
             }
@@ -1433,14 +1402,8 @@ impl MemSystem {
             self.nodes[n].l2.flag_si(line);
         }
 
-        // Complete read waiters. A-stream waiters first: the A-stream
-        // requested first whenever both merged (it runs ahead), and at
-        // equal timestamps it must get to consume its A-R token before the
-        // R-stream's deviation check runs.
-        let read_waiters = std::mem::take(&mut mshr.a_waiters)
-            .into_iter()
-            .chain(std::mem::take(&mut mshr.waiters));
-        for w in read_waiters {
+        // Complete read waiters (A-stream first, see `Mshr::take_waiters`).
+        for w in readers {
             self.fill_l1(w.cpu, line, L1State::Shared);
             if let Some(entry) = self.nodes[n].l2.get_mut(line) {
                 entry.l1_mask |= 1 << w.cpu.core();
@@ -1449,7 +1412,9 @@ impl MemSystem {
         }
         if excl {
             // Complete store waiters: ownership is here.
-            let store_waiters = std::mem::take(&mut mshr.store_waiters);
+            let mshr = self.nodes[n].l2.mshrs.slot_mut(slot);
+            let store_in_cs = mshr.store_in_cs;
+            let store_waiters = mshr.take_waiters(|k| k == WaiterKind::Store);
             let n_stores = store_waiters.len();
             if n_stores > 0 {
                 if let Some(entry) = self.nodes[n].l2.get_mut(line) {
@@ -1465,36 +1430,50 @@ impl MemSystem {
                     if last {
                         entry.dirty = true;
                         entry.l1_dirty = Some(w.cpu.core());
-                        if mshr.store_in_cs && entry.shared_data {
+                        if store_in_cs && entry.shared_data {
                             entry.wrote_in_cs = true;
                         }
                     }
                 }
                 out.push(Completion { cpu: w.cpu, token: w.token });
             }
-        } else if !mshr.store_waiters.is_empty() && !mshr.excl_pending {
-            // Shared fill but stores are queued: upgrade now.
-            mshr.excl_pending = true;
-            if shared_data && mshr.open_excl.is_none() {
-                mshr.open_excl = Some(OpenReq::new(StreamRole::R));
-            }
-            self.stats.excl_txns += 1;
-            self.nodes[n].l2.mshrs.insert(line, mshr);
-            self.issue_txn(
-                now,
-                node,
-                line,
-                MsgKind::ReadExclReq { line, from: node, role: StreamRole::R, had_shared: true },
-                sched,
-            );
-            return;
-        }
-        if mshr.pending() {
-            // A transparent (or exclusive) reply is still due; keep the
-            // MSHR so the late reply is recognized.
-            self.nodes[n].l2.mshrs.insert(line, mshr);
         } else {
-            debug_assert!(mshr.store_waiters.is_empty(), "store waiters dropped at fill");
+            let mshr = self.nodes[n].l2.mshrs.slot_mut(slot);
+            if mshr.has_waiter(WaiterKind::Store) && !mshr.excl_pending {
+                // Shared fill but stores are queued: upgrade now.
+                mshr.excl_pending = true;
+                if shared_data && mshr.open_excl.is_none() {
+                    mshr.open_excl = Some(OpenReq::new(StreamRole::R));
+                }
+                self.stats.excl_txns += 1;
+                self.nodes[n].l2.mshrs.attach(line, slot);
+                self.issue_txn(
+                    now,
+                    node,
+                    line,
+                    MsgKind::ReadExclReq { line, from: node, role: StreamRole::R, had_shared: true },
+                    sched,
+                );
+                return;
+            }
+        }
+        self.settle_mshr(now, node, line, slot);
+    }
+
+    /// Re-attaches a detached MSHR whose line still has a request in
+    /// flight (so the late reply is recognized), or frees it.
+    fn settle_mshr(&mut self, now: Cycle, node: NodeId, line: LineAddr, slot: u32) {
+        let n = self.local(node);
+        let mshrs = &mut self.nodes[n].l2.mshrs;
+        let mshr = mshrs.slot_mut(slot);
+        if mshr.pending() {
+            mshrs.attach(line, slot);
+        } else {
+            debug_assert!(
+                !mshr.has_waiter(WaiterKind::Read) && !mshr.has_waiter(WaiterKind::Store),
+                "coherent waiters dropped at fill"
+            );
+            mshrs.free(slot);
             if self.observed() {
                 self.emit(now, MemObs::MshrFree { node, line });
             }
@@ -1512,29 +1491,28 @@ impl MemSystem {
         out: &mut Vec<Completion>,
     ) {
         let n = self.local(node);
-        let mut mshr = match self.nodes[n].l2.mshrs.remove(&line) {
-            Some(m) => m,
-            None => return,
+        let Some(slot) = self.nodes[n].l2.mshrs.detach(line) else {
+            return;
         };
         if self.observed() {
             self.emit(now, MemObs::Fill { node, line, excl: false, transparent: true });
         }
+        let l2 = &mut self.nodes[n].l2;
+        let resident = l2.get(line).is_some();
+        let mshr = l2.mshrs.slot_mut(slot);
         mshr.trans_pending = false;
-        let resident = self.nodes[n].l2.get(line).is_some();
-        let mut victim = None;
+        // Coherent waiters (if any) are still waiting on the
+        // normal/exclusive fill.
+        let a_waiters = mshr.take_waiters(|k| k == WaiterKind::ARead);
         if !resident && !mshr.norm_pending && !mshr.excl_pending {
             let mut entry = L2Line::new(line, L2State::Shared, true);
             entry.transparent = true;
             entry.open_read = mshr.open_read.take();
-            let (v, _slot) = self.nodes[n].l2.insert(entry);
-            victim = v;
+            let (victim, _slot) = l2.insert(entry);
+            if let Some(v) = victim {
+                self.evict_line(now, node, v.entry, sched);
+            }
         }
-        if let Some(v) = victim {
-            self.evict_line(now, node, v.entry, sched);
-        }
-        // Complete the A-stream waiters; coherent waiters (if any) are
-        // still waiting on the normal/exclusive fill.
-        let a_waiters = std::mem::take(&mut mshr.a_waiters);
         for w in a_waiters {
             self.fill_l1(w.cpu, line, L1State::Shared);
             if let Some(entry) = self.nodes[n].l2.get_mut(line) {
@@ -1542,17 +1520,7 @@ impl MemSystem {
             }
             out.push(Completion { cpu: w.cpu, token: w.token });
         }
-        if mshr.pending() {
-            self.nodes[n].l2.mshrs.insert(line, mshr);
-        } else {
-            debug_assert!(
-                mshr.waiters.is_empty() && mshr.store_waiters.is_empty(),
-                "coherent waiters dropped at transparent fill"
-            );
-            if self.observed() {
-                self.emit(now, MemObs::MshrFree { node, line });
-            }
-        }
+        self.settle_mshr(now, node, line, slot);
     }
 
     /// Evicts a victim line: back-invalidates L1 copies, closes open
@@ -1799,11 +1767,11 @@ impl MemSystem {
                     self.stats.class.close(false, op);
                 }
             }
-            for (_line, mshr) in st.l2.mshrs.drain() {
-                if let Some(op) = mshr.open_read {
+            for (open_read, open_excl) in st.l2.mshrs.drain_open() {
+                if let Some(op) = open_read {
                     self.stats.class.close(true, op);
                 }
-                if let Some(op) = mshr.open_excl {
+                if let Some(op) = open_excl {
                     self.stats.class.close(false, op);
                 }
             }
@@ -1820,22 +1788,19 @@ impl MemSystem {
     /// first, in ascending address order, so the report names the
     /// lowest-addressed stuck line.
     pub fn check_quiescent(&self) -> Result<(), String> {
-        for (line, dl) in self.dir.iter() {
-            if let Some(p) = &dl.busy {
-                return Err(format!(
+        if let Some((line, dl, busy, waiters)) = self.dir.lowest_in_flight() {
+            return Err(match busy {
+                Some(p) => format!(
                     "directory line {line} still busy: {p:?}, perm={:?}, {} deferred",
                     dl.perm,
-                    dl.waiters.len()
-                ));
-            }
-            if !dl.waiters.is_empty() {
-                return Err(format!(
-                    "directory line {line} has {} deferred requests: perm={:?} waiters={:?}",
-                    dl.waiters.len(),
+                    waiters.len()
+                ),
+                None => format!(
+                    "directory line {line} has {} deferred requests: perm={:?} waiters={waiters:?}",
+                    waiters.len(),
                     dl.perm,
-                    dl.waiters
-                ));
-            }
+                ),
+            });
         }
         for (i, st) in self.nodes.iter().enumerate() {
             if !st.l2.mshrs.is_empty() {
@@ -1879,12 +1844,13 @@ fn data_reply(home: NodeId, to: NodeId, line: LineAddr, excl: bool, si_hint: boo
 /// writeback has arrived: complete the stalled transaction from memory.
 fn complete_from_memory(
     dl: &mut DirLine,
+    busy: &mut Option<PendingTxn>,
     home: NodeId,
     line: LineAddr,
     mem_done: Cycle,
     sched: &mut impl MemSched,
 ) {
-    let p = dl.busy.as_mut().expect("complete_from_memory requires a pending txn");
+    let p = busy.as_mut().expect("complete_from_memory requires a pending txn");
     p.wait = WaitKind::Mem;
     if p.excl {
         dl.perm = Perm::Excl(p.requester);

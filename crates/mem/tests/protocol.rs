@@ -628,3 +628,27 @@ fn quiescence_reports_the_lowest_busy_directory_line() {
         assert!(err.starts_with("directory line L0x4 still busy"), "{err}");
     }
 }
+
+#[test]
+fn quiescence_names_the_lower_line_when_the_higher_went_busy_first() {
+    // The higher line's request leaves 20 cycles earlier, so its home
+    // directory goes busy first; once both are busy the report still
+    // names the lower line.
+    let high = 2 * PAGE + 0x40;
+    let report_at = |until: u64, both: bool| {
+        let mut h = Harness::new(4);
+        let _ = h.access(0, cpu(1, 0), StreamRole::Solo, AccessKind::Read, high);
+        if both {
+            let _ = h.access(20, cpu(3, 0), StreamRole::Solo, AccessKind::Read, LOCAL0);
+        }
+        h.run_until(Cycle(until));
+        h.mem.check_quiescent().expect_err("transactions in flight")
+    };
+    let busy_high = "directory line L0x81 still busy";
+    assert!(report_at(170, true).starts_with(busy_high));
+    // At 190 the higher line is still busy on its own...
+    assert!(report_at(190, false).starts_with(busy_high));
+    // ...yet with both busy the lower one is named.
+    let err = report_at(190, true);
+    assert!(err.starts_with("directory line L0x4 still busy"), "{err}");
+}
